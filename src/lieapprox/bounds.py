@@ -127,11 +127,12 @@ def verify_colour(t: SimpleType, index: int, mode: str = "end") -> Verdict:
     rs = build_root_system(t)
     if not 1 <= index <= rs.rank:
         raise BadIndex(f"weight index {index} out of range 1..{rs.rank}")
-    omega = rs.fundamental_weight(index)
-    available = repdim.end_dim(rs, omega) if mode == "end" else repdim.h0_dim(rs, omega)
+    if mode == "end":
+        available = rs.fundamental_dims[index - 1] ** 2
+    else:
+        available = repdim.h0_dim(rs, rs.fundamental_weight(index))
     d = rs.comark_vector[index - 1]
-    n = rs.rank + 2 * rs.num_positive_roots
-    return _make_verdict(n, d, available, full_conjecture=(d == 1))
+    return _make_verdict(rs.dim_X, d, available, full_conjecture=(d == 1))
 
 
 def table_binomial(t: SimpleType, index: int) -> int:
@@ -146,8 +147,7 @@ def table_binomial(t: SimpleType, index: int) -> int:
     if not 1 <= index <= rs.rank:
         raise BadIndex(f"weight index {index} out of range 1..{rs.rank}")
     d = rs.comark_vector[index - 1]
-    n = rs.rank + 2 * rs.num_positive_roots
-    return comb(n + d - 2, d - 1)
+    return comb(rs.dim_X + d - 2, d - 1)
 
 
 def full_conjecture_check(t: SimpleType) -> bool:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -416,7 +417,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     t = SemisimpleType.parse(args.type)
-    flat = [int(c) for c in args.divisor.split(",") if c.strip() != ""]
+    try:
+        flat = [int(c) for c in args.divisor.split(",") if c.strip() != ""]
+    except ValueError:
+        raise BadArgs(f"divisor coordinates must be integers, got {args.divisor!r}") from None
     D = NefDivisor.from_flat(t, flat)
     report = verify_nef(t, D, direct_budget=args.direct_budget)
     if args.format == "json":
@@ -454,7 +458,13 @@ def cmd_bound(args) -> int:
 
 def cmd_alpha(args) -> int:
     target = RationalProjectivePoint.parse(args.point)
-    place = PlaceSpec.archimedean() if args.place == "inf" else PlaceSpec.at(int(args.place))
+    if args.place == "inf":
+        place = PlaceSpec.archimedean()
+    else:
+        try:
+            place = PlaceSpec.at(int(args.place))
+        except ValueError:
+            raise BadArgs(f"place must be inf or a prime, got {args.place!r}") from None
     if args.curve != "line":
         raise BadArgs(f"unsupported curve {args.curve!r}")
     samples = best_sequence_on_line(target, place, args.count, m=args.m)
@@ -490,6 +500,16 @@ def cmd_alpha(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alpha.add_argument("--m", type=int, default=1)
     p_alpha.add_argument("--place", default="inf", help="inf or a prime")
     p_alpha.add_argument("--tail", type=float, default=0.5)
-    p_alpha.add_argument("--gamma", type=float, action="append", help="also report the product trend at gamma")
+    p_alpha.add_argument("--gamma", type=_finite_float, action="append", help="also report the product trend at gamma")
     p_alpha.add_argument("--format", choices=("text", "json"), default="text")
     p_alpha.set_defaults(func=cmd_alpha)
 

@@ -47,6 +47,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _valuation(x: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer x.
+
+    For p = 2 the lowest set bit gives it directly.  Otherwise divide by
+    p, p^2, p^4, ... while they divide, then settle the remainder of the
+    exponent bit by bit from the largest square down, so a valuation v
+    costs O(log v) big divisions instead of v.
+    """
+    if p == 2:
+        return (x & -x).bit_length() - 1
+    powers = [p]
+    v = 0
+    while x % powers[-1] == 0:
+        x //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for k in range(len(powers) - 2, -1, -1):
+        if x % powers[k] == 0:
+            x //= powers[k]
+            v += 1 << k
+    return v
+
+
 @dataclass(frozen=True)
 class RationalProjectivePoint:
     """Primitive integer coordinates, first nonzero entry positive."""
@@ -109,11 +132,7 @@ class PlaceSpec:
             return Fraction(0)
         if self.prime is None:
             return Fraction(abs(x))
-        v = 0
-        while x % self.prime == 0:
-            x //= self.prime
-            v += 1
-        return Fraction(1, self.prime**v)
+        return Fraction(1, self.prime ** _valuation(x, self.prime))
 
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)

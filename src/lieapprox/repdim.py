@@ -34,11 +34,12 @@ def _coords(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> tuple[int, .
 def weyl_dim(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> int:
     """dim V_lam = prod <lam+rho, alpha^vee> / prod <rho, alpha^vee>, exact."""
     coords = _coords(rs, lam)
+    support = [(k, c) for k, c in enumerate(coords) if c]
     num = 1
     den = 1
     for row in rs.coroot_rows:
         rho_pairing = sum(row)
-        num *= rho_pairing + sum(c * r for c, r in zip(coords, row))
+        num *= rho_pairing + sum(c * row[k] for k, c in support)
         den *= rho_pairing
     quotient, remainder = divmod(num, den)
     if remainder:

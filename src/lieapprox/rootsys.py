@@ -13,6 +13,12 @@ product A c.  The symmetrizer d satisfies d[i] a[i][j] = d[j] a[j][i] with
 d = 1 on short roots, making (alpha_i, alpha_j) = d[i] a[i][j] and every
 coroot pairing an integer.
 
+Each type is built once (``build_root_system`` caches it), and every
+invariant is computed once and cached on its ``RootSystem``: the positive
+roots and their half-norms come out of one closure pass, and the coroot
+rows, comarks, fundamental dimensions and dim X are cached properties
+derived from them.
+
 All values are immutable after construction and safe to share across
 concurrent workers.
 """
@@ -21,8 +27,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import BadIndex, InvalidRank, NonDominant, NotARoot
 
@@ -147,25 +153,28 @@ class CartanMatrix:
             raise InvalidRank("Cartan matrix is not positive definite")
 
     def determinant(self) -> int:
-        """Exact determinant (equals the order of weight/root lattice quotient)."""
-        m = [[Fraction(x) for x in row] for row in self.entries]
+        """Exact determinant (equals the order of weight/root lattice quotient).
+
+        Fraction-free Bareiss elimination: every division is exact, so the
+        arithmetic stays in integers.
+        """
+        m = [list(row) for row in self.entries]
         n = self.rank
-        det = Fraction(1)
+        sign, prev = 1, 1
         for col in range(n):
             pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
             if pivot is None:
                 return 0
             if pivot != col:
                 m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
+                sign = -sign
+            top = m[col]
             for r in range(col + 1, n):
-                factor = m[r][col] * inv
-                if factor:
-                    m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-        assert det.denominator == 1
-        return int(det)
+                row = m[r]
+                factor = row[col]
+                m[r] = [(x * top[col] - factor * y) // prev for x, y in zip(row, top)]
+            prev = top[col]
+        return sign * prev
 
 
 @dataclass(frozen=True, order=True)
@@ -244,40 +253,64 @@ def _cartan_data(st: SimpleType) -> tuple[list[list[int]], list[int]]:
     return a, [1, 3]
 
 
-def _close_positive_roots(entries: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """All positive roots by root-string closure from the simple roots.
+#: Radix of the integer keys the closure probes.  Root coefficients are at
+#: most 6 (E8), so a probe that steps below zero borrows into a digit 7,
+#: which no root has.
+_KEY_RADIX = 8
+
+
+def _close_positive_roots(
+    entries: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """All positive roots by root-string closure, with their half-norms.
 
     Processes roots by height; alpha + alpha_i is a root iff the alpha_i-string
-    depth below alpha exceeds <alpha, alpha_i^vee>.
+    depth below alpha exceeds <alpha, alpha_i^vee>.  Each root carries its
+    weight vector A c (one Cartan column added per step) and its half-norm,
+    hn(alpha + alpha_i) = hn(alpha) + d_i (<alpha, alpha_i^vee> + 1).  The
+    depth probes run on a mixed-radix integer key whose most significant
+    digit is c_1, so key order is lexicographic order on coefficients.
+
+    Returns the coefficient tuples, simple roots first and then each height
+    in ascending lexicographic order, and the matching half-norms.
     """
     rank = len(entries)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    known: set[tuple[int, ...]] = set(simple)
-    current = list(simple)
-    out = list(simple)
+    place = [_KEY_RADIX ** (rank - 1 - i) for i in range(rank)]
+    # nonzero entries (j, a[j][i]) of each Cartan column
+    columns = [[(j, entries[j][i]) for j in range(rank) if entries[j][i]] for i in range(rank)]
+    # key -> (coefficients, weight vector, half-norm)
+    known: dict[int, tuple[list[int], list[int], int]] = {}
+    for i in range(rank):
+        coeffs = [0] * rank
+        coeffs[i] = 1
+        known[place[i]] = (coeffs, [row[i] for row in entries], symmetrizer[i])
+    current = list(known)
+    out = list(known.values())
     while current:
-        nxt: list[tuple[int, ...]] = []
-        for c in current:
+        nxt: list[int] = []
+        for key in current:
+            coeffs, weight, halfnorm = known[key]
             for i in range(rank):
-                pairing = sum(entries[i][j] * c[j] for j in range(rank))
+                step = place[i]
                 depth = 0
-                probe = list(c)
-                while True:
-                    probe[i] -= 1
-                    if tuple(probe) in known:
-                        depth += 1
-                    else:
-                        break
-                if depth - pairing > 0:
-                    up = list(c)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in known:
-                        known.add(t)
-                        nxt.append(t)
-        out.extend(sorted(nxt))
+                probe = key - step
+                while probe in known:
+                    depth += 1
+                    probe -= step
+                if depth > weight[i]:
+                    up = key + step
+                    if up not in known:
+                        up_coeffs = coeffs.copy()
+                        up_coeffs[i] += 1
+                        up_weight = weight.copy()
+                        for j, a_ji in columns[i]:
+                            up_weight[j] += a_ji
+                        known[up] = (up_coeffs, up_weight, halfnorm + symmetrizer[i] * (weight[i] + 1))
+                        nxt.append(up)
+        nxt.sort()
+        out.extend(known[key] for key in nxt)
         current = nxt
-    return out
+    return [tuple(c) for c, _, _ in out], [hn for _, _, hn in out]
 
 
 @dataclass(frozen=True)
@@ -289,6 +322,8 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     highest_root: Root
     rho: DominantWeight
+    #: (alpha, alpha)/2 for every positive root, in positive_roots order.
+    root_halfnorms: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -297,6 +332,11 @@ class RootSystem:
     @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
+
+    @cached_property
+    def dim_X(self) -> int:
+        """dim G = rank + 2|Phi+|, the dimension of the wonderful compactification."""
+        return self.rank + 2 * self.num_positive_roots
 
     @property
     def coxeter_number(self) -> int:
@@ -317,30 +357,57 @@ class RootSystem:
         """(alpha, alpha)/2 in the short-root-is-1 normalization."""
         c = alpha.coeffs
         a, d = self.cartan.entries, self.cartan.symmetrizer
-        norm2 = sum(c[i] * c[j] * d[i] * a[i][j] for i in range(self.rank) for j in range(self.rank))
+        support = [i for i, c_i in enumerate(c) if c_i]
+        norm2 = sum(c[i] * c[j] * d[i] * a[i][j] for i in support for j in support)
         assert norm2 > 0 and norm2 % 2 == 0
         return norm2 // 2
 
+    def _coroot_row(self, alpha: Root, d_alpha: int) -> tuple[int, ...]:
+        # <omega_j, alpha^vee> = c_j d_j / hn(alpha), which must be integral.
+        nums = tuple(map(mul, alpha.coeffs, self.cartan.symmetrizer))
+        if d_alpha == 1:
+            return nums
+        if any(num % d_alpha for num in nums):
+            raise NotARoot(f"{alpha.coeffs} has a non-integral coroot pairing")
+        return tuple(num // d_alpha for num in nums)
+
     def coroot_row(self, alpha: Root) -> tuple[int, ...]:
         """The vector (<omega_1, alpha^vee>, ..., <omega_r, alpha^vee>)."""
-        d_alpha = self.root_halfnorm(alpha)
-        d = self.cartan.symmetrizer
-        row = []
-        for c_j, d_j in zip(alpha.coeffs, d):
-            num = c_j * d_j
-            if num % d_alpha:
-                raise NotARoot(f"{alpha.coeffs} has a non-integral coroot pairing")
-            row.append(num // d_alpha)
-        return tuple(row)
+        return self._coroot_row(alpha, self.root_halfnorm(alpha))
 
     @cached_property
     def coroot_rows(self) -> tuple[tuple[int, ...], ...]:
         """Coroot pairing rows for every positive root, in positive_roots order."""
-        return tuple(self.coroot_row(alpha) for alpha in self.positive_roots)
+        return tuple(map(self._coroot_row, self.positive_roots, self.root_halfnorms))
 
     @cached_property
     def comark_vector(self) -> tuple[int, ...]:
-        return self.coroot_row(self.highest_root)
+        # The highest root is the last positive root (see _construct).
+        return self.coroot_rows[-1]
+
+    @cached_property
+    def fundamental_dims(self) -> tuple[int, ...]:
+        """(dim V(omega_1), ..., dim V(omega_r)) by the Weyl dimension formula.
+
+        One pass over coroot_rows: at omega_k a root's factor
+        (h + row[k]) / h, with h = <rho, alpha^vee> = sum(row), is 1 unless
+        row[k] != 0, so only those roots enter the k-th products.
+        """
+        num = [1] * self.rank
+        den = [1] * self.rank
+        for row in self.coroot_rows:
+            h = sum(row)
+            for k, r in enumerate(row):
+                if r:
+                    num[k] *= h + r
+                    den[k] *= h
+        dims = []
+        for k, (n, d) in enumerate(zip(num, den), start=1):
+            quotient, remainder = divmod(n, d)
+            if remainder:
+                raise ArithmeticError(f"Weyl numerator not divisible for {self.type}, omega_{k}")
+            dims.append(quotient)
+        return tuple(dims)
 
     def weight_coords(self, alpha: Root) -> tuple[int, ...]:
         """Fundamental-weight coordinates of a root (the product A c)."""
@@ -364,15 +431,16 @@ def _construct(st: SimpleType) -> RootSystem:
     entries, d = _cartan_data(st)
     cartan = CartanMatrix(tuple(tuple(row) for row in entries), tuple(d))
     cartan.validate()
-    coeff_list = _close_positive_roots(cartan.entries)
+    coeff_list, halfnorms = _close_positive_roots(cartan.entries, cartan.symmetrizer)
     roots = tuple(Root(c) for c in coeff_list)
     top_height = max(r.height for r in roots)
     top = [r for r in roots if r.height == top_height]
     assert len(top) == 1, f"{st}: highest root is not unique"
+    assert top[0] is roots[-1], f"{st}: highest root is not the last root"
     expected = st.rank * COXETER_NUMBER[st.family](st.rank) // 2
     assert len(roots) == expected, f"{st}: found {len(roots)} positive roots, expected {expected}"
     rho = DominantWeight((1,) * st.rank)
-    rs = RootSystem(st, cartan, roots, top[0], rho)
+    rs = RootSystem(st, cartan, roots, top[0], rho, tuple(halfnorms))
     assert all(x >= 0 for x in rs.highest_root_weight.coords)
     return rs
 

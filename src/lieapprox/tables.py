@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from . import repdim
 from .bounds import table_binomial
 from .rootsys import SimpleType, build_root_system
 
@@ -156,15 +155,12 @@ def computed_curve_binomial_row(st: SimpleType) -> tuple[int, ...]:
 
 
 def computed_end_base_row(st: SimpleType) -> tuple[int, ...]:
-    rs = build_root_system(st)
-    return tuple(
-        repdim.weyl_dim(rs, rs.fundamental_weight(i)) for i in dims_node_order(st)
-    )
+    dims = build_root_system(st).fundamental_dims
+    return tuple(dims[i - 1] for i in dims_node_order(st))
 
 
 def computed_dim_x(st: SimpleType) -> int:
-    rs = build_root_system(st)
-    return rs.rank + 2 * rs.num_positive_roots
+    return build_root_system(st).dim_X
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def header_formula_flags(st: SimpleType) -> list[str]:
     The printed values satisfy binom(dim X + d - 2, d - 1) instead.
     """
     rs = build_root_system(st)
-    n = rs.rank + 2 * rs.num_positive_roots
+    n = rs.dim_X
     out = []
     for pos, i in enumerate(rootcurve_node_order(st), start=1):
         d = rs.comark_vector[i - 1]

@@ -98,7 +98,7 @@ def root_systems(t: SemisimpleType) -> tuple[RootSystem, ...]:
 def dim_X(t: SemisimpleType) -> int:
     """Dimension of the wonderful compactification: additive over factors,
     rank + 2|Phi+| = rank * (Coxeter number + 1) per factor."""
-    return sum(rs.rank + 2 * rs.num_positive_roots for rs in root_systems(t))
+    return sum(rs.dim_X for rs in root_systems(t))
 
 
 def _check_divisor(t: SemisimpleType, D: NefDivisor) -> None:

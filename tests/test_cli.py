@@ -106,6 +106,24 @@ def test_bound_rejects_bad_input(capsys):
     capsys.readouterr()
 
 
+def test_bound_rejects_non_integer_divisor(capsys):
+    assert main(["bound", "--type", "A2", "--divisor", "1,x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_alpha_rejects_unparsable_place(capsys):
+    assert main(["alpha", "--P", "1:0", "--place", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "abc"])
+def test_alpha_rejects_non_finite_gamma(gamma, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha", "--P", "1:0", "--count", "50", "--gamma=" + gamma])
+    assert exc.value.code == 2
+    assert "error: argument --gamma: must be a finite number" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["tables", "nonsense"])

@@ -59,6 +59,25 @@ def test_padic_absolute_value():
     assert p3.abs(0) == 0
 
 
+def _valuation_by_division(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(0, 3000),
+    st.integers(-(10**30), 10**30).filter(bool),
+)
+def test_padic_absolute_value_matches_division_loop(p, exponent, unit):
+    # unit may itself carry factors of p; the loop is the reference either way
+    x = unit * p**exponent
+    assert PlaceSpec.at(p).abs(x) == Fraction(1, p ** _valuation_by_division(x, p))
+
+
 # -- heights and distances -------------------------------------------------------
 
 

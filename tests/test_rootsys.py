@@ -1,6 +1,7 @@
 import pytest
 
 from lieapprox.errors import InvalidRank, NotARoot
+from lieapprox.repdim import weyl_dim
 from lieapprox.rootsys import (
     CENTER_ORDER,
     COXETER_NUMBER,
@@ -50,6 +51,7 @@ def test_counts_match_coxeter_closed_forms():
         assert rs.coxeter_number == h
         # 2|Phi+| + rank = rank (h + 1)
         assert 2 * rs.num_positive_roots + st.rank == st.rank * (h + 1)
+        assert rs.dim_X == st.rank * (h + 1)
 
 
 def test_cartan_determinants():
@@ -172,3 +174,42 @@ def test_negative_weight_coordinates_rejected():
 
     with pytest.raises(NonDominant):
         DominantWeight((1, -1))
+
+
+# -- oracles for the cached fast paths, every type up to rank 24 ---------------
+
+ORACLE_MAX_RANK = 24
+
+
+def _oracle_systems():
+    return [build_root_system(st, max_rank=ORACLE_MAX_RANK) for st in supported_types(ORACLE_MAX_RANK)]
+
+
+def test_roots_come_simple_first_then_by_height_and_lexicographically():
+    for rs in _oracle_systems():
+        coeffs = [r.coeffs for r in rs.positive_roots]
+        simple = [tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)]
+        assert coeffs[: rs.rank] == simple, rs.type
+        rest = coeffs[rs.rank :]
+        assert rest == sorted(rest, key=lambda c: (sum(c), c)), rs.type
+        assert len(set(coeffs)) == len(coeffs), rs.type
+        assert rs.highest_root == rs.positive_roots[-1]
+
+
+def test_closure_halfnorms_match_quadratic_form():
+    for rs in _oracle_systems():
+        assert len(rs.root_halfnorms) == rs.num_positive_roots
+        for alpha, hn in zip(rs.positive_roots, rs.root_halfnorms):
+            assert hn == rs.root_halfnorm(alpha), (rs.type, alpha)
+
+
+def test_coroot_rows_match_pairing_formula():
+    for rs in _oracle_systems():
+        assert rs.coroot_rows == tuple(rs.coroot_row(alpha) for alpha in rs.positive_roots), rs.type
+        assert rs.comark_vector == rs.coroot_row(rs.highest_root), rs.type
+
+
+def test_fundamental_dims_match_weyl_dim():
+    for rs in _oracle_systems():
+        expected = tuple(weyl_dim(rs, rs.fundamental_weight(k)) for k in range(1, rs.rank + 1))
+        assert rs.fundamental_dims == expected, rs.type
