@@ -12,6 +12,12 @@ Verdicts always use the strict count binom(n+d-1, n).  The reference table
 column reproduced by ``table_binomial`` satisfies the different formula
 binom(n+d-2, d-1) (monomials of degree exactly d-1); both are kept, clearly
 named, and reports flag the difference.
+
+Every section count a verdict asks for is computed exactly: the h^0 of a
+colour (``verify_colour`` in mode "h0") and of a nef class (the direct
+verdict of ``verify_nef``) sum End-dimensions over the dominant weights
+below it, which ``repdim`` finds by positive-root descent.  No verdict is
+skipped for cost.
 """
 
 from __future__ import annotations
@@ -31,10 +37,6 @@ from .wonderful import (
     root_curve_degree,
     root_systems,
 )
-
-#: Candidate ceiling above which the dominance-box enumeration behind a
-#: direct (full h^0) verdict is considered too large to run at desk scale.
-DEFAULT_DIRECT_BUDGET = 10_000_000
 
 
 def monomial_count(n: int, e: int) -> int:
@@ -166,7 +168,7 @@ class NefReport:
     trivial: bool
     structural_passed: bool
     colour_verdicts: tuple[tuple[int, int, Verdict], ...]  # (factor, index, verdict)
-    direct: Verdict | None
+    direct: Verdict
     selected_factor: int | None
     notes: tuple[str, ...]
 
@@ -174,9 +176,7 @@ class NefReport:
     def passed(self) -> bool:
         if self.trivial:
             return True
-        if self.direct is not None and not self.direct.passed:
-            return False
-        return self.structural_passed
+        return self.direct.passed and self.structural_passed
 
     def to_dict(self) -> dict:
         return {
@@ -187,27 +187,20 @@ class NefReport:
             "colour_verdicts": [
                 {"factor": f, "index": i, **v.to_dict()} for f, i, v in self.colour_verdicts
             ],
-            "direct": self.direct.to_dict() if self.direct is not None else None,
+            "direct": self.direct.to_dict(),
             "selected_factor": self.selected_factor,
             "notes": list(self.notes),
             "pass": self.passed,
         }
 
 
-def verify_nef(
-    t: SemisimpleType,
-    D: NefDivisor,
-    *,
-    direct_budget: int | None = DEFAULT_DIRECT_BUDGET,
-) -> NefReport:
+def verify_nef(t: SemisimpleType, D: NefDivisor) -> NefReport:
     """Verify an arbitrary nef class, reporting two sub-verdicts.
 
     Structural: every colour with a positive coefficient must pass its own
     verdict (the route that certifies the divisor).  Direct: one Liouville
     comparison of the full section count of D against the degree of D on
-    the longest-root curve of the cheapest supported factor; skipped with a
-    note when the dominance-box enumeration would exceed ``direct_budget``
-    candidates (pass ``None`` for no budget).
+    the longest-root curve of the cheapest supported factor.
     """
     systems = root_systems(t)
     _check_divisor(t, D)
@@ -241,27 +234,14 @@ def verify_nef(
     selected = min(supported, key=lambda f: (degrees[f], f))
     curve_constant = degrees[selected]
 
-    n = dim_X(t)
     all_ones = all(systems[f].comark_vector[i - 1] == 1 for f, i, _ in colour_verdicts)
-
-    direct = None
-    cost = sum(repdim.dominance_box_size(rs, block) for rs, block in zip(systems, D.coeffs))
-    if direct_budget is not None and cost > direct_budget:
-        notes.append(
-            f"direct verdict skipped: dominance enumeration needs {cost} candidates, "
-            f"budget {direct_budget}"
-        )
-    else:
-        available = h0_product(t, D)
-        direct = _make_verdict(n, curve_constant, available, full_conjecture=all_ones)
-
     return NefReport(
         type_label=str(t),
         divisor=D,
         trivial=False,
         structural_passed=structural_passed,
         colour_verdicts=tuple(colour_verdicts),
-        direct=direct,
+        direct=_make_verdict(dim_X(t), curve_constant, h0_product(t, D), full_conjecture=all_ones),
         selected_factor=selected,
         notes=tuple(notes),
     )

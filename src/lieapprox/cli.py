@@ -15,10 +15,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import tables
-from .bounds import DEFAULT_DIRECT_BUDGET, table_binomial, verify_colour, verify_nef
+from .bounds import table_binomial, verify_colour, verify_nef
 from .dioph import (
     PlaceSpec,
     RationalProjectivePoint,
@@ -27,7 +28,6 @@ from .dioph import (
     boundedness_trend,
 )
 from .errors import BadArgs, EngineError
-from .repdim import dominance_box_size
 from .rootsys import SimpleType, build_root_system, default_max_rank, supported_types
 from .wonderful import NefDivisor, SemisimpleType, dim_X
 
@@ -341,9 +341,7 @@ def cmd_tables(args) -> int:
 # verify subcommand
 
 
-def verification_rows(
-    types: list[SimpleType], mode: str, h0_budget: int = DEFAULT_DIRECT_BUDGET
-) -> list[ReportRow]:
+def verification_rows(types: list[SimpleType], mode: str) -> list[ReportRow]:
     rows = []
     for st in sorted(types):
         rs = build_root_system(st)
@@ -351,19 +349,8 @@ def verification_rows(
         node_order = tables.dims_node_order(st)
         for i in range(1, rs.rank + 1):
             end_verdict = verify_colour(st, i, mode="end")
+            verdict = verify_colour(st, i, mode="h0") if mode == "h0" else end_verdict
             notes = []
-            if mode == "h0":
-                cost = dominance_box_size(rs, rs.fundamental_weight(i))
-                if cost > h0_budget:
-                    verdict = end_verdict
-                    notes.append(
-                        f"h0 mode skipped here ({cost} enumeration candidates, "
-                        f"budget {h0_budget}); End-dimension verdict shown"
-                    )
-                else:
-                    verdict = verify_colour(st, i, mode="h0")
-            else:
-                verdict = end_verdict
             position = node_order.index(i) + 1
             if position in dims_audit.mismatch_positions:
                 if dims_audit.permuted_only:
@@ -384,9 +371,7 @@ def verification_rows(
                     table_binomial=table_binomial(st, i),
                     required_count=verdict.required_count,
                     end_dim=end_verdict.available_sections,
-                    h0_dim=verdict.available_sections
-                    if mode == "h0" and verdict is not end_verdict
-                    else None,
+                    h0_dim=verdict.available_sections if mode == "h0" else None,
                     dense_lower_bound=verdict.dense_lower_bound,
                     passed=verdict.passed,
                     notes=tuple(notes),
@@ -422,7 +407,7 @@ def cmd_bound(args) -> int:
     except ValueError:
         raise BadArgs(f"divisor coordinates must be integers, got {args.divisor!r}") from None
     D = NefDivisor.from_flat(t, flat)
-    report = verify_nef(t, D, direct_budget=args.direct_budget)
+    report = verify_nef(t, D)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -438,15 +423,12 @@ def cmd_bound(args) -> int:
                     f"dense >= {v.dense_lower_bound}, End = {v.available_sections}, "
                     f"{'PASS' if v.passed else 'FAIL'}"
                 )
-            if report.direct is None:
-                print("direct verdict: not computed")
-            else:
-                v = report.direct
-                print(
-                    f"direct verdict (factor {report.selected_factor + 1}): curve "
-                    f"{v.curve_constant}, dense >= {v.dense_lower_bound}, "
-                    f"h0 = {v.available_sections}, {'PASS' if v.passed else 'FAIL'}"
-                )
+            v = report.direct
+            print(
+                f"direct verdict (factor {report.selected_factor + 1}): curve "
+                f"{v.curve_constant}, dense >= {v.dense_lower_bound}, "
+                f"h0 = {v.available_sections}, {'PASS' if v.passed else 'FAIL'}"
+            )
         for note in report.notes:
             print(f"note: {note}")
     return 0 if report.passed else 1
@@ -512,7 +494,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="lieapprox",
         description="Exact verification of root-curve approximation bounds "
@@ -524,14 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("which", choices=("rootcurves", "dims"))
     p_tables.add_argument("--format", choices=FORMATS, default="text")
     p_tables.add_argument("--types", default="all", help="all, exceptional, or a comma list like E8,G2")
-    p_tables.add_argument("--rank-max", type=int, default=None)
+    p_tables.add_argument("--rank-max", type=_positive_int, default=None)
     p_tables.add_argument("--golden-dir", default=None, help="check output against a fixture file")
     p_tables.add_argument("--write-golden", action="store_true", help="write the fixture instead of checking")
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run the colour verification sweep")
     p_verify.add_argument("--types", default="all")
-    p_verify.add_argument("--rank-max", type=int, default=None)
+    p_verify.add_argument("--rank-max", type=_positive_int, default=None)
     p_verify.add_argument("--mode", choices=("end", "h0"), default="end")
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
@@ -540,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--type", required=True, help="simple or product type, e.g. E8 or A1xA1")
     p_bound.add_argument("--divisor", required=True, help="comma-separated nef coordinates")
     p_bound.add_argument("--format", choices=("text", "json"), default="text")
-    p_bound.add_argument("--direct-budget", type=int, default=DEFAULT_DIRECT_BUDGET)
     p_bound.set_defaults(func=cmd_bound)
 
     p_alpha = sub.add_parser("alpha", help="estimate an approximation constant empirically")
@@ -558,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except EngineError as exc:

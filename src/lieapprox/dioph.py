@@ -254,6 +254,12 @@ def alpha_estimate(
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
     if not 0 < tail_fraction <= 1:
         raise BadArgs(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    start = math.floor(len(samples) * (1 - tail_fraction))
+    if len(samples) - start < 2:
+        raise BadArgs(
+            f"tail_fraction {tail_fraction} leaves {len(samples) - start} of "
+            f"{len(samples)} samples in the tail, need at least 2"
+        )
     ordered = sorted(samples, key=lambda s: (s.height, -s.distance))
     seen = set()
     for s in ordered:
@@ -265,7 +271,6 @@ def alpha_estimate(
     tail_min = min(s.distance for s in ordered[half:])
     if tail_min >= head_min:
         raise NotConverging("distances do not decrease along the sequence")
-    start = math.floor(len(ordered) * (1 - tail_fraction))
     tail = [s.ratio for s in ordered[start:] if math.isfinite(s.ratio)]
     if not tail:
         raise NotConverging("no finite ratios in the tail")

@@ -1,25 +1,28 @@
 """Exact representation-theoretic dimension counts.
 
 The Weyl dimension formula is evaluated as two big-integer products and one
-exact division; dominance-order enumeration runs over a provably complete
-box (the inverse Cartan matrix of a finite type has non-negative entries,
-so the simple-root coordinates of lam - eta are bounded by those of lam).
-No floating point anywhere; numpy is used only to vectorize the integer box
-filter, with values far inside int64 range.
+exact division.  The dominant weights below a weight are found by descent
+along positive roots: by Stembridge ("The partial order of dominant
+weights", Adv. Math. 136, 1998), every dominant mu <= lam is reached from
+lam by subtracting one positive root at a time while staying dominant, so
+the walk is complete and its cost grows with the number of weights it
+returns.  No floating point anywhere.
+
+``dominance_box`` bounds the simple-root coordinates of lam - eta (the
+inverse Cartan matrix of a finite type has non-negative entries); the
+engine no longer scans it, and it stays as public API and as the tests'
+independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
-
-import numpy as np
 
 from .errors import BadArgs, NonDominant
 from .rootsys import DominantWeight, RootSystem
-
-_BOX_CHUNK = 1 << 15
 
 
 def _coords(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> tuple[int, ...]:
@@ -82,38 +85,30 @@ def dominance_box(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> tuple[
 
 
 def dominance_box_size(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> int:
-    """Number of candidate lattice points the enumeration will scan."""
+    """Number of lattice points in the dominance box of lam."""
     return math.prod(b + 1 for b in dominance_box(rs, lam))
 
 
 def dominant_weights_below(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> list[DominantWeight]:
     """All dominant eta with lam - eta a non-negative sum of simple roots.
 
-    Includes eta = lam itself.  Output is in ascending lexicographic order
-    on fundamental-weight coordinates, so it is deterministic.
+    Includes eta = lam itself.  Depth-first descent: from each weight
+    reached, subtract every positive root and keep the results that stay
+    dominant.  Output is in ascending lexicographic order on
+    fundamental-weight coordinates, so it is deterministic.
     """
     coords = _coords(rs, lam)
-    bounds = dominance_box(rs, coords)
-    dims = [b + 1 for b in bounds]
-    total = math.prod(dims)
-    cartan = np.array(rs.cartan.entries, dtype=np.int64)
-    lam_vec = np.array(coords, dtype=np.int64)
-    radix = np.array(dims, dtype=np.int64)
-    rank = rs.rank
-
-    found: list[tuple[int, ...]] = []
-    for start in range(0, total, _BOX_CHUNK):
-        idx = np.arange(start, min(start + _BOX_CHUNK, total), dtype=np.int64)
-        ks = np.empty((idx.size, rank), dtype=np.int64)
-        rem = idx
-        for pos in range(rank - 1, -1, -1):
-            ks[:, pos] = rem % radix[pos]
-            rem = rem // radix[pos]
-        etas = lam_vec[None, :] - ks @ cartan.T
-        keep = (etas >= 0).all(axis=1)
-        found.extend(tuple(int(x) for x in row) for row in etas[keep])
-    found.sort()
-    return [DominantWeight(t) for t in found]
+    roots = rs.root_weights
+    seen = {coords}
+    stack = [coords]
+    while stack:
+        eta = stack.pop()
+        for w in roots:
+            mu = tuple(map(sub, eta, w))
+            if min(mu) >= 0 and mu not in seen:
+                seen.add(mu)
+                stack.append(mu)
+    return [DominantWeight(t) for t in sorted(seen)]
 
 
 def h0_dim(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> int:

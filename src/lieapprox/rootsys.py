@@ -15,9 +15,9 @@ coroot pairing an integer.
 
 Each type is built once (``build_root_system`` caches it), and every
 invariant is computed once and cached on its ``RootSystem``: the positive
-roots and their half-norms come out of one closure pass, and the coroot
-rows, comarks, fundamental dimensions and dim X are cached properties
-derived from them.
+roots, their weights and their half-norms come out of one closure pass,
+and the coroot rows, comarks, fundamental dimensions and dim X are cached
+properties derived from them.
 
 All values are immutable after construction and safe to share across
 concurrent workers.
@@ -261,8 +261,8 @@ _KEY_RADIX = 8
 
 def _close_positive_roots(
     entries: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """All positive roots by root-string closure, with their half-norms.
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """All positive roots by root-string closure, with their weights and half-norms.
 
     Processes roots by height; alpha + alpha_i is a root iff the alpha_i-string
     depth below alpha exceeds <alpha, alpha_i^vee>.  Each root carries its
@@ -272,7 +272,8 @@ def _close_positive_roots(
     digit is c_1, so key order is lexicographic order on coefficients.
 
     Returns the coefficient tuples, simple roots first and then each height
-    in ascending lexicographic order, and the matching half-norms.
+    in ascending lexicographic order, and the matching weight vectors and
+    half-norms.
     """
     rank = len(entries)
     place = [_KEY_RADIX ** (rank - 1 - i) for i in range(rank)]
@@ -310,7 +311,7 @@ def _close_positive_roots(
         nxt.sort()
         out.extend(known[key] for key in nxt)
         current = nxt
-    return [tuple(c) for c, _, _ in out], [hn for _, _, hn in out]
+    return [tuple(c) for c, _, _ in out], [tuple(w) for _, w, _ in out], [hn for _, _, hn in out]
 
 
 @dataclass(frozen=True)
@@ -324,6 +325,9 @@ class RootSystem:
     rho: DominantWeight
     #: (alpha, alpha)/2 for every positive root, in positive_roots order.
     root_halfnorms: tuple[int, ...]
+    #: Fundamental-weight coordinates (A c) of every positive root, in
+    #: positive_roots order.
+    root_weights: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -417,7 +421,8 @@ class RootSystem:
 
     @cached_property
     def highest_root_weight(self) -> DominantWeight:
-        return DominantWeight(self.weight_coords(self.highest_root))
+        # The highest root is the last positive root (see _construct).
+        return DominantWeight(self.root_weights[-1])
 
     def fundamental_weight(self, index: int) -> DominantWeight:
         """omega_index for a 1-based Bourbaki index."""
@@ -431,7 +436,7 @@ def _construct(st: SimpleType) -> RootSystem:
     entries, d = _cartan_data(st)
     cartan = CartanMatrix(tuple(tuple(row) for row in entries), tuple(d))
     cartan.validate()
-    coeff_list, halfnorms = _close_positive_roots(cartan.entries, cartan.symmetrizer)
+    coeff_list, weights, halfnorms = _close_positive_roots(cartan.entries, cartan.symmetrizer)
     roots = tuple(Root(c) for c in coeff_list)
     top_height = max(r.height for r in roots)
     top = [r for r in roots if r.height == top_height]
@@ -440,7 +445,7 @@ def _construct(st: SimpleType) -> RootSystem:
     expected = st.rank * COXETER_NUMBER[st.family](st.rank) // 2
     assert len(roots) == expected, f"{st}: found {len(roots)} positive roots, expected {expected}"
     rho = DominantWeight((1,) * st.rank)
-    rs = RootSystem(st, cartan, roots, top[0], rho, tuple(halfnorms))
+    rs = RootSystem(st, cartan, roots, top[0], rho, tuple(halfnorms), tuple(weights))
     assert all(x >= 0 for x in rs.highest_root_weight.coords)
     return rs
 

@@ -217,12 +217,12 @@ def test_verify_nef_factor_supported_divisor_flagged():
     assert not weak.passed
 
 
-def test_verify_nef_budget_skips_direct():
+def test_verify_nef_computes_direct_verdict_at_e6_rho():
     t = SemisimpleType.parse("E6")
     D = NefDivisor.from_flat(t, [1] * 6)
-    report = verify_nef(t, D, direct_budget=1000)
-    assert report.direct is None
-    assert any("skipped" in n for n in report.notes)
+    report = verify_nef(t, D)
+    assert report.direct.passed
+    assert not any("skipped" in n for n in report.notes)
     assert report.structural_passed and report.passed
 
 

@@ -54,10 +54,11 @@ def test_h0_mode_rows_carry_h0_column():
     assert rows_from_csv(rows_to_csv(rows)) == rows
 
 
-def test_h0_mode_budget_skips_heavy_weights():
-    rows = verification_rows([SimpleType.parse("E8")], "h0", h0_budget=1000)
-    assert all(r.h0_dim is None for r in rows)
-    assert all(any("skipped" in n for n in r.notes) for r in rows)
+def test_h0_mode_computes_every_e_series_colour():
+    rows = verification_rows([SimpleType.parse(t) for t in ("E6", "E7", "E8")], "h0")
+    assert len(rows) == 6 + 7 + 8
+    assert all(r.h0_dim is not None and r.h0_dim >= r.end_dim for r in rows)
+    assert not any("skipped" in n for r in rows for n in r.notes)
     assert all(r.passed for r in rows)
 
 
@@ -122,6 +123,28 @@ def test_alpha_rejects_non_finite_gamma(gamma, capsys):
         main(["alpha", "--P", "1:0", "--count", "50", "--gamma=" + gamma])
     assert exc.value.code == 2
     assert "error: argument --gamma: must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--types", "A1"], ["tables", "dims", "--types", "A1"]])
+@pytest.mark.parametrize("rank_max", ["0", "-5", "x"])
+def test_rank_max_must_be_a_positive_integer(command, rank_max, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--rank-max", rank_max])
+    assert exc.value.code == 2
+    assert "error: argument --rank-max: must be a positive integer" in capsys.readouterr().err
+
+
+def test_alpha_rejects_a_tail_of_one_sample(capsys):
+    assert main(["alpha", "--P", "1:0", "--count", "10", "--tail", "0.01"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_repeated_calls_do_not_share_parsed_state(capsys):
+    argv = ["alpha", "--P", "1:0", "--count", "40", "--format", "json"]
+    assert main(argv + ["--gamma", "1.0"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["trends"]) == 1
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["trends"] == []
 
 
 def test_usage_errors_exit_two():

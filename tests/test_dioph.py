@@ -195,6 +195,9 @@ def test_alpha_estimate_tail_fraction_validation():
     seq = best_sequence_on_line(P10, INF, 20)
     with pytest.raises(BadArgs):
         alpha_estimate(seq, tail_fraction=0.0)
+    with pytest.raises(BadArgs):
+        alpha_estimate(seq, tail_fraction=0.05)  # a tail of one sample
+    assert alpha_estimate(seq, tail_fraction=0.1).tail_count == 2
 
 
 # -- the boundedness dichotomy ------------------------------------------------------

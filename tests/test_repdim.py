@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from lieapprox.errors import BadArgs, NonDominant
 from lieapprox.repdim import (
     dominance_box,
+    dominance_box_size,
     dominant_weights_below,
     end_dim,
     h0_dim,
@@ -131,6 +133,64 @@ def test_weights_below_downward_closed():
             assert sub <= family, (label, lam, eta)
 
 
+# -- the dominance box as an independent oracle for the descent ---------------------
+
+
+def _box_weights(rs, lam):
+    """Dominant weights below lam by scanning every point lam - A k of the
+    dominance box, 0 <= k <= dominance_box(rs, lam).
+
+    A candidate is packed into one integer with a field of ``width`` bits
+    per coordinate, biased by 2^(width-1).  The width exceeds every
+    coordinate the box can reach, so fields never carry into each other,
+    subtracting a simple root is one integer subtraction, and a candidate
+    is dominant exactly when every field has its top bit set.
+    """
+    lam = tuple(lam)
+    box = dominance_box(rs, lam)
+    a = rs.cartan.entries
+    reach = max(l + sum(abs(x) * b for x, b in zip(row, box)) for l, row in zip(lam, a))
+    width = reach.bit_length() + 2
+    bias = 1 << (width - 1)
+
+    def pack(values):
+        return sum(v << (width * j) for j, v in enumerate(values))
+
+    top = pack([bias] * rs.rank)
+    base = pack([l + bias for l in lam])
+    # axis i: k_i alpha_i for k_i = 0..box[i], alpha_i packed from Cartan column i
+    axes = [range(0, (b + 1) * step, step) for b, step in zip(box, map(pack, zip(*a)))]
+    kept = [base - s for s in map(sum, product(*axes)) if (base - s) & top == top]
+    mask = (1 << width) - 1
+    return sorted(tuple(((u >> (width * j)) & mask) - bias for j in range(rs.rank)) for u in kept)
+
+
+BOX_ORACLE_MAX_CANDIDATES = 200_000
+
+
+def test_descent_matches_box_on_fundamental_weights():
+    checked = 0
+    for st in supported_types(8):
+        rs = build_root_system(st)
+        for i in range(1, rs.rank + 1):
+            lam = rs.fundamental_weight(i)
+            if dominance_box_size(rs, lam) > BOX_ORACLE_MAX_CANDIDATES:
+                continue
+            got = [w.coords for w in dominant_weights_below(rs, lam)]
+            assert got == _box_weights(rs, lam.coords), (str(st), i)
+            checked += 1
+    assert checked >= 150
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_descent_matches_box_on_small_factor_weights(label):
+    # every factor of rank <= 3 that ``bound`` accepts, coordinates 0..3
+    rs = _rs(label)
+    for lam in product(range(4), repeat=rs.rank):
+        got = [w.coords for w in dominant_weights_below(rs, lam)]
+        assert got == _box_weights(rs, lam), lam
+
+
 def test_dominance_box_is_exact_inverse_cartan_image():
     rs = _rs("A2")
     assert dominance_box(rs, (1, 1)) == (1, 1)
@@ -159,8 +219,7 @@ def test_h0_first_fundamental_of_a_family_is_square():
 
 
 def test_h0_at_least_end_and_equality_iff_singleton():
-    # desk-scale types only: the enumeration box for heavy E7/E8 weights is huge
-    for label in ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "F4", "G2", "E6"]:
+    for label in ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "F4", "G2", "E6", "E7", "E8"]:
         rs = _rs(label)
         for i in range(1, rs.rank + 1):
             lam = rs.fundamental_weight(i)

@@ -203,6 +203,11 @@ def test_closure_halfnorms_match_quadratic_form():
             assert hn == rs.root_halfnorm(alpha), (rs.type, alpha)
 
 
+def test_closure_root_weights_match_cartan_product():
+    for rs in _oracle_systems():
+        assert rs.root_weights == tuple(map(rs.weight_coords, rs.positive_roots)), rs.type
+
+
 def test_coroot_rows_match_pairing_formula():
     for rs in _oracle_systems():
         assert rs.coroot_rows == tuple(rs.coroot_row(alpha) for alpha in rs.positive_roots), rs.type
