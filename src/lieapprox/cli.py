@@ -4,6 +4,10 @@ queries for arbitrary types and nef divisors, and the approximation lab.
 Exit codes: 0 all verdicts pass, 1 at least one verdict failed or a golden
 check mismatched, 2 usage or input errors.  Big integers are rendered as
 decimal strings in JSON and CSV so no consumer can lose precision.
+
+Classical ranks are capped at the command line, not in the library:
+``verify``, ``tables`` and ``bound`` refuse a type above the ceiling
+(``--rank-max``, else ``LIEAPPROX_MAX_RANK``, else 12) with exit 2.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,8 +32,8 @@ from .dioph import (
     best_sequence_on_line,
     boundedness_trend,
 )
-from .errors import BadArgs, EngineError
-from .rootsys import SimpleType, build_root_system, default_max_rank, supported_types
+from .errors import BadArgs, EngineError, InvalidRank
+from .rootsys import SimpleType, build_root_system, supported_types
 from .wonderful import NefDivisor, SemisimpleType, dim_X
 
 FORMATS = ("text", "csv", "json", "latex")
@@ -66,21 +71,6 @@ class ReportRow:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "ReportRow":
-        return cls(
-            type_label=record["type"],
-            weight_index=int(record["weight_index"]),
-            comark=int(record["comark"]),
-            table_binomial=int(record["table_binomial"]),
-            required_count=int(record["required_count"]),
-            end_dim=int(record["end_dim"]),
-            h0_dim=None if record["h0_dim"] is None else int(record["h0_dim"]),
-            dense_lower_bound=int(record["dense_lower_bound"]),
-            passed=bool(record["pass"]),
-            notes=tuple(record["notes"]),
-        )
-
     _CSV_FIELDS = (
         "type",
         "weight_index",
@@ -101,21 +91,9 @@ class ReportRow:
         d["notes"] = json.dumps(d["notes"])
         return d
 
-    @classmethod
-    def from_csv_record(cls, record: dict) -> "ReportRow":
-        fixed = dict(record)
-        fixed["h0_dim"] = None if record["h0_dim"] == "" else record["h0_dim"]
-        fixed["pass"] = record["pass"] == "true"
-        fixed["notes"] = json.loads(record["notes"])
-        return cls.from_dict(fixed)
-
 
 def rows_to_json(rows: list[ReportRow]) -> str:
     return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2) + "\n"
-
-
-def rows_from_json(text: str) -> list[ReportRow]:
-    return [ReportRow.from_dict(r) for r in json.loads(text)["rows"]]
 
 
 def rows_to_csv(rows: list[ReportRow]) -> str:
@@ -125,10 +103,6 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     for r in rows:
         writer.writerow(r.to_csv_record())
     return buf.getvalue()
-
-
-def rows_from_csv(text: str) -> list[ReportRow]:
-    return [ReportRow.from_csv_record(rec) for rec in csv.DictReader(io.StringIO(text))]
 
 
 def rows_to_text(rows: list[ReportRow]) -> str:
@@ -157,20 +131,57 @@ def _join_values(values, split: int | None) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# tables subcommand
+# type selection and the classical rank ceiling
+
+#: Classical rank ceiling when neither ``--rank-max`` nor the environment
+#: variable below sets one.  It exceeds every rank the reference tables
+#: display and keeps ``--types all`` quick.
+DEFAULT_MAX_RANK = 12
+MAX_RANK_ENV = "LIEAPPROX_MAX_RANK"
 
 
-def _selected_types(selector: str, rank_max: int) -> list[SimpleType]:
+def default_max_rank() -> int:
+    """Rank ceiling for classical families, from the environment or 12."""
+    raw = os.environ.get(MAX_RANK_ENV)
+    if raw is None:
+        return DEFAULT_MAX_RANK
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InvalidRank(f"{MAX_RANK_ENV} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise InvalidRank(f"{MAX_RANK_ENV} must be positive, got {value}")
+    return value
+
+
+def _check_ceiling(types, ceiling: int) -> None:
+    """Refuse a classical type above the rank ceiling (exit 2)."""
+    for st in types:
+        if st.family in "ABCD" and st.rank > ceiling:
+            raise InvalidRank(
+                f"{st} exceeds the rank ceiling {ceiling}; raise it with --rank-max "
+                f"(verify, tables) or {MAX_RANK_ENV}"
+            )
+
+
+def _selected_types(selector: str, rank_max: int | None) -> list[SimpleType]:
+    """The distinct types a ``--types`` selector names: ``all``,
+    ``exceptional`` or a comma list, each within the rank ceiling
+    (``rank_max``, else the environment, else 12)."""
+    ceiling = default_max_rank() if rank_max is None else rank_max
     if selector == "all":
-        return supported_types(rank_max)
+        return supported_types(ceiling)
     if selector == "exceptional":
         return [SimpleType.parse(s) for s in tables.EXCEPTIONAL_LABELS]
-    return [SimpleType.parse(s.strip()) for s in selector.split(",") if s.strip()]
+    types = sorted({SimpleType.parse(s) for s in selector.split(",") if s.strip()})
+    if not types:
+        raise BadArgs(f"--types {selector!r} selects no type")
+    _check_ceiling(types, ceiling)
+    return types
 
 
-def _classical_states(family: str, rank_max: int) -> list[SimpleType]:
-    lowest = {"A": 1, "B": 2, "C": 2, "D": 4}[family]
-    return [SimpleType(family, n) for n in range(lowest, rank_max + 1)]
+# ---------------------------------------------------------------------------
+# tables subcommand
 
 
 def render_rootcurves(types: list[SimpleType], fmt: str) -> str:
@@ -314,12 +325,12 @@ def render_dims(types: list[SimpleType], fmt: str) -> str:
 
 
 def cmd_tables(args) -> int:
-    rank_max = args.rank_max if args.rank_max is not None else default_max_rank()
-    types = _selected_types(args.types, rank_max)
+    types = _selected_types(args.types, args.rank_max)
     render = render_rootcurves if args.which == "rootcurves" else render_dims
     document = render(types, args.format)
     if args.golden_dir is not None:
-        path = Path(args.golden_dir) / f"{args.which}_{args.types}_{args.format}.golden"
+        name = args.types if args.types in ("all", "exceptional") else "-".join(map(str, types))
+        path = Path(args.golden_dir) / f"{args.which}_{name}_{args.format}.golden"
         if args.write_golden:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(document, encoding="utf-8")
@@ -381,8 +392,7 @@ def verification_rows(types: list[SimpleType], mode: str) -> list[ReportRow]:
 
 
 def cmd_verify(args) -> int:
-    rank_max = args.rank_max if args.rank_max is not None else default_max_rank()
-    types = _selected_types(args.types, rank_max)
+    types = _selected_types(args.types, args.rank_max)
     rows = verification_rows(types, args.mode)
     if args.format == "json":
         print(rows_to_json(rows), end="")
@@ -402,6 +412,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     t = SemisimpleType.parse(args.type)
+    _check_ceiling(t.factors, default_max_rank())
     try:
         flat = [int(c) for c in args.divisor.split(",") if c.strip() != ""]
     except ValueError:
@@ -504,6 +515,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+RANK_MAX_HELP = (
+    f"classical rank ceiling (default: {MAX_RANK_ENV} or {DEFAULT_MAX_RANK}): "
+    "--types all goes up to it, and a listed type above it exits 2"
+)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
@@ -519,14 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("which", choices=("rootcurves", "dims"))
     p_tables.add_argument("--format", choices=FORMATS, default="text")
     p_tables.add_argument("--types", default="all", help="all, exceptional, or a comma list like E8,G2")
-    p_tables.add_argument("--rank-max", type=_positive_int, default=None)
+    p_tables.add_argument("--rank-max", type=_positive_int, default=None, help=RANK_MAX_HELP)
     p_tables.add_argument("--golden-dir", default=None, help="check output against a fixture file")
     p_tables.add_argument("--write-golden", action="store_true", help="write the fixture instead of checking")
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run the colour verification sweep")
     p_verify.add_argument("--types", default="all")
-    p_verify.add_argument("--rank-max", type=_positive_int, default=None)
+    p_verify.add_argument("--rank-max", type=_positive_int, default=None, help=RANK_MAX_HELP)
     p_verify.add_argument("--mode", choices=("end", "h0"), default="end")
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)

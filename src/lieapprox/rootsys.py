@@ -17,7 +17,9 @@ Each type is built once (``build_root_system`` caches it), and every
 invariant is computed once and cached on its ``RootSystem``: the positive
 roots, their weights and their half-norms come out of one closure pass,
 and the coroot rows, comarks, fundamental dimensions and dim X are cached
-properties derived from them.
+properties derived from them.  Every rank is built on request: a ceiling on
+the ranks a sweep covers is the caller's policy (``supported_types`` takes
+it as an argument; the command line checks its own).
 
 All values are immutable after construction and safe to share across
 concurrent workers.
@@ -25,7 +27,6 @@ concurrent workers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
@@ -33,12 +34,6 @@ from operator import mul
 from .errors import BadIndex, InvalidRank, NonDominant, NotARoot
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-#: Default ceiling on classical-family ranks, overridable per call or via
-#: the environment variable below.  Keeps exhaustive sweeps fast while
-#: exceeding every rank the reference tables display.
-DEFAULT_MAX_RANK = 12
-MAX_RANK_ENV = "LIEAPPROX_MAX_RANK"
 
 _LOWEST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
@@ -73,20 +68,6 @@ CENTER_ORDER = {
     "F": lambda n: 1,
     "G": lambda n: 1,
 }
-
-
-def default_max_rank() -> int:
-    """Rank ceiling for classical families, from the environment or 12."""
-    raw = os.environ.get(MAX_RANK_ENV)
-    if raw is None:
-        return DEFAULT_MAX_RANK
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidRank(f"{MAX_RANK_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InvalidRank(f"{MAX_RANK_ENV} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True, order=True)
@@ -186,9 +167,6 @@ class Root:
     @property
     def height(self) -> int:
         return sum(self.coeffs)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
 
 
 @dataclass(frozen=True, order=True)
@@ -346,10 +324,6 @@ class RootSystem:
     def coxeter_number(self) -> int:
         return 2 * self.num_positive_roots // self.rank
 
-    @property
-    def dual_coxeter_number(self) -> int:
-        return 1 + sum(self.comark_vector)
-
     @cached_property
     def _root_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(r.coeffs for r in self.positive_roots)
@@ -386,7 +360,7 @@ class RootSystem:
 
     @cached_property
     def comark_vector(self) -> tuple[int, ...]:
-        # The highest root is the last positive root (see _construct).
+        # The highest root is the last positive root (see build_root_system).
         return self.coroot_rows[-1]
 
     @cached_property
@@ -421,7 +395,7 @@ class RootSystem:
 
     @cached_property
     def highest_root_weight(self) -> DominantWeight:
-        # The highest root is the last positive root (see _construct).
+        # The highest root is the last positive root (see build_root_system).
         return DominantWeight(self.root_weights[-1])
 
     def fundamental_weight(self, index: int) -> DominantWeight:
@@ -432,7 +406,13 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _construct(st: SimpleType) -> RootSystem:
+def build_root_system(st: SimpleType) -> RootSystem:
+    """The root system of a simple type of any rank (Bourbaki numbering).
+
+    Built once per type and cached; checks the Cartan data, the number of
+    positive roots against the Coxeter closed form and that the highest
+    root is unique and last.
+    """
     entries, d = _cartan_data(st)
     cartan = CartanMatrix(tuple(tuple(row) for row in entries), tuple(d))
     cartan.validate()
@@ -450,21 +430,6 @@ def _construct(st: SimpleType) -> RootSystem:
     return rs
 
 
-def build_root_system(st: SimpleType, *, max_rank: int | None = None) -> RootSystem:
-    """Construct the root system of a simple type (Bourbaki numbering).
-
-    Classical families are capped at ``max_rank`` (default: environment
-    variable or 12); raises InvalidRank beyond the cap.
-    """
-    ceiling = default_max_rank() if max_rank is None else max_rank
-    if st.family in _LOWEST_RANK and st.rank > ceiling:
-        raise InvalidRank(
-            f"{st} exceeds the configured rank ceiling {ceiling} "
-            f"(raise via max_rank= or {MAX_RANK_ENV})"
-        )
-    return _construct(st)
-
-
 def coroot_pairing(rs: RootSystem, w: DominantWeight, alpha: Root) -> int:
     """Exact integer pairing <w, alpha^vee> for a positive root alpha."""
     if not rs.is_positive_root(alpha):
@@ -478,12 +443,11 @@ def comarks(rs: RootSystem) -> tuple[int, ...]:
     return rs.comark_vector
 
 
-def supported_types(max_rank: int | None = None) -> list[SimpleType]:
-    """Every supported simple type up to the classical rank ceiling, sorted."""
-    ceiling = default_max_rank() if max_rank is None else max_rank
+def supported_types(max_rank: int) -> list[SimpleType]:
+    """Every simple type with classical ranks up to ``max_rank``, sorted."""
     out = []
     for family, lowest in _LOWEST_RANK.items():
-        out.extend(SimpleType(family, n) for n in range(lowest, ceiling + 1))
+        out.extend(SimpleType(family, n) for n in range(lowest, max_rank + 1))
     for family, ranks in _EXCEPTIONAL_RANKS.items():
         out.extend(SimpleType(family, n) for n in ranks)
     return sorted(out)

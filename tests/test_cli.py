@@ -1,35 +1,32 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieapprox.cli import (
-    ReportRow,
-    main,
-    render_dims,
-    rows_from_csv,
-    rows_from_json,
-    rows_to_csv,
-    rows_to_json,
-    verification_rows,
-)
+from lieapprox.cli import MAX_RANK_ENV, main, render_dims, rows_to_json, verification_rows
 from lieapprox.rootsys import SimpleType
 
+GOLDEN = Path(__file__).parent / "golden"
 
-# -- report rows round-trip losslessly ----------------------------------------
+
+# -- report rows ------------------------------------------------------------------
 
 
 def _sample_rows():
     return verification_rows([SimpleType.parse("E8"), SimpleType.parse("D4")], "end")
 
 
-def test_json_round_trip():
-    rows = _sample_rows()
-    assert rows_from_json(rows_to_json(rows)) == rows
-
-
-def test_csv_round_trip():
-    rows = _sample_rows()
-    assert rows_from_csv(rows_to_csv(rows)) == rows
+@pytest.mark.parametrize("mode", ["end", "h0"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_matches_golden(mode, fmt, capsys):
+    assert main(["verify", "--types", "exceptional", "--mode", mode, "--format", fmt]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"verify_exceptional_{mode}_{fmt}.golden").read_text()
 
 
 def test_json_big_integers_are_decimal_strings():
@@ -51,7 +48,6 @@ def test_h0_mode_rows_carry_h0_column():
     rows = verification_rows([SimpleType.parse("G2")], "h0")
     assert all(r.h0_dim is not None for r in rows)
     assert all(r.h0_dim >= r.end_dim for r in rows)
-    assert rows_from_csv(rows_to_csv(rows)) == rows
 
 
 def test_h0_mode_computes_every_e_series_colour():
@@ -134,6 +130,52 @@ def test_rank_max_must_be_a_positive_integer(command, rank_max, capsys):
     assert "error: argument --rank-max: must be a positive integer" in capsys.readouterr().err
 
 
+_A13_COMMANDS = [
+    ["verify", "--types", "A13"],
+    ["tables", "dims", "--types", "A13"],
+    ["bound", "--type", "A13", "--divisor", ",".join(["1"] + ["0"] * 12)],
+]
+
+
+def test_rank_ceiling_enforced(monkeypatch, capsys):
+    monkeypatch.delenv(MAX_RANK_ENV, raising=False)
+    for command in _A13_COMMANDS:
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: A13 exceeds the rank ceiling 12")
+        assert "--rank-max" in err and MAX_RANK_ENV in err
+    assert main(["verify", "--types", "A13", "--rank-max", "13"]) == 0
+    assert main(["tables", "dims", "--types", "A13", "--rank-max", "13"]) == 0
+    assert main(["verify", "--types", "A30", "--rank-max", "30"]) == 0
+    # the flag is the ceiling for listed types too, not only for ``all``
+    assert main(["verify", "--types", "A5", "--rank-max", "4"]) == 2
+    capsys.readouterr()
+
+
+def test_rank_ceiling_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv(MAX_RANK_ENV, "14")
+    for command in _A13_COMMANDS:
+        assert main(command) == 0
+    monkeypatch.setenv(MAX_RANK_ENV, "x")
+    assert main(["verify", "--types", "A1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {MAX_RANK_ENV} must be an integer")
+
+
+@pytest.mark.parametrize("command", [["verify", "--types", ","], ["tables", "dims", "--types", ""]])
+def test_empty_selection_is_an_input_error(command, capsys):
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_repeated_type_is_selected_once(capsys):
+    assert main(["verify", "--types", "E8,E8"]) == 0
+    assert capsys.readouterr().out.endswith("\n8/8 colours verified\n")
+    assert main(["tables", "rootcurves", "--types", "E8"]) == 0
+    once = capsys.readouterr().out
+    assert main(["tables", "rootcurves", "--types", "E8,E8"]) == 0
+    assert capsys.readouterr().out == once
+
+
 def test_alpha_rejects_a_tail_of_one_sample(capsys):
     assert main(["alpha", "--P", "1:0", "--count", "10", "--tail", "0.01"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -163,6 +205,12 @@ def test_tables_golden_check_cycle(tmp_path, capsys):
     golden = tmp_path / "dims_exceptional_text.golden"
     golden.write_text(golden.read_text() + "tampered\n")
     assert main(args) == 1
+    # a list selection is named by its distinct labels, sorted and joined by "-"
+    listed = ["tables", "dims", "--golden-dir", str(tmp_path), "--types"]
+    assert main(listed + ["G2,E8", "--write-golden"]) == 0
+    assert (tmp_path / "dims_E8-G2_text.golden").exists()
+    assert main(listed + ["E8,G2,E8"]) == 0
+    assert main(listed + ["E8"]) == 1
     capsys.readouterr()
 
 
@@ -201,6 +249,91 @@ def test_dims_text_shows_closed_forms_for_classical_rows():
     assert "B3" in doc and "B4" in doc
 
 
-def test_report_row_from_dict_rejects_nothing_lossy():
-    row = _sample_rows()[0]
-    assert ReportRow.from_dict(row.to_dict()) == row
+# -- exit-code contract: 0, 1 or 2 for any input, never a traceback ------------
+
+# Classical ranks stay at most 8 and bound factors at rank 4 or less, so no
+# example reaches an expensive case such as h0 of E8 at rho.
+
+
+def _mostly(valid, invalid):
+    """A valid value about three times in four, else an invalid one."""
+    return st.sampled_from(valid * 3 * len(invalid) + invalid * len(valid))
+
+
+_selector = st.one_of(
+    st.sampled_from(["all", "exceptional", "E8,E8", ",", ""]),
+    st.lists(
+        _mostly(["A1", "A3", "A8", "B2", "B5", "C3", "C8", "D4", "D6", "G2", "F4", "E6", "E7", "E8"],
+                ["A0", "D3", "E9", "Q2", "x", " "]),
+        min_size=1, max_size=4,
+    ).map(",".join),
+)
+_rank_max = st.one_of(
+    st.just([]),
+    st.integers(1, 8).map(lambda n: ["--rank-max", str(n)]),
+    st.sampled_from(["-1", "0", "x"]).map(lambda v: ["--rank-max", v]),
+)
+# Always set, so "all" never falls back to the default ceiling of 12.
+_env = _mostly(["8", "5"], ["1", "0", "x"])
+
+
+@st.composite
+def _verify_argv(draw):
+    return (["verify", "--types", draw(_selector)] + draw(_rank_max)
+            + ["--mode", draw(_mostly(["end", "h0"], ["x"]))]
+            + ["--format", draw(_mostly(["text", "csv", "json"], ["latex"]))])
+
+
+@st.composite
+def _tables_argv(draw):
+    argv = ["tables", draw(_mostly(["rootcurves", "dims"], ["x"])), "--types", draw(_selector)]
+    argv += draw(_rank_max) + ["--format", draw(_mostly(["text", "csv", "json", "latex"], ["x"]))]
+    if draw(st.booleans()):
+        argv += ["--golden-dir", str(GOLDEN)]
+    return argv
+
+
+@st.composite
+def _bound_argv(draw):
+    factors = draw(st.lists(
+        _mostly(["A1", "A2", "A4", "B2", "B4", "C3", "D4", "G2", "F4"], ["A0", "Q2", ""]),
+        min_size=1, max_size=3,
+    ))
+    needed = sum(int(f[1:]) for f in factors if f[1:].isdigit())
+    length = draw(st.one_of(st.just(needed), st.just(needed), st.integers(0, 6)))
+    coords = [draw(_mostly(["0", "1", "2", "3"], ["-1"])) for _ in range(length)]
+    if draw(st.integers(0, 9)) == 0:
+        coords.append(draw(st.sampled_from(["x", "1.5", ""])))
+    return ["bound", "--type", "x".join(factors), "--divisor", ",".join(coords),
+            "--format", draw(st.sampled_from(["text", "json"]))]
+
+
+@st.composite
+def _alpha_argv(draw):
+    argv = [
+        "alpha",
+        "--P", draw(_mostly(["1:0", "0:1", "1:2:3", "2:4", "3:-1:2"], ["0:0", "a:b", "1"])),
+        "--place", draw(_mostly(["inf", "2", "3", "5", "7"], ["4", "1", "0", "-3", "x"])),
+        "--count", str(draw(st.integers(-5, 200))),
+        "--m", str(draw(_mostly([1, 2, 3], [0, -1]))),
+        "--tail", draw(_mostly(["0.5", "1", "0.25"], ["0.01", "0", "1.5", "nan"])),
+        "--format", draw(st.sampled_from(["text", "json"])),
+    ]
+    for gamma in draw(st.lists(_mostly(["1.0", "0.5", "2"], ["nan", "x"]), max_size=2)):
+        argv += ["--gamma", gamma]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_verify_argv(), _tables_argv(), _bound_argv(), _alpha_argv()), _env)
+def test_exit_code_contract(argv, env):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {MAX_RANK_ENV: env}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error: " in err.getvalue(), argv

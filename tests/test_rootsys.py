@@ -44,7 +44,7 @@ def test_exceptional_counts(label, count):
 
 
 def test_counts_match_coxeter_closed_forms():
-    for st in supported_types():
+    for st in supported_types(12):
         rs = build_root_system(st)
         h = COXETER_NUMBER[st.family](st.rank)
         assert rs.num_positive_roots == st.rank * h // 2
@@ -55,7 +55,7 @@ def test_counts_match_coxeter_closed_forms():
 
 
 def test_cartan_determinants():
-    for st in supported_types():
+    for st in supported_types(12):
         rs = build_root_system(st)
         assert rs.cartan.determinant() == CENTER_ORDER[st.family](st.rank), st
 
@@ -119,7 +119,7 @@ def test_fundamental_weight_coroot_duality(label):
 
 
 def test_comarks_sum_to_dual_coxeter_number():
-    for st in supported_types():
+    for st in supported_types(12):
         rs = build_root_system(st)
         assert 1 + sum(comarks(rs)) == DUAL_COXETER_NUMBER[st.family](st.rank), st
 
@@ -158,15 +158,10 @@ def test_invalid_types_rejected(label):
         SimpleType.parse(label)
 
 
-def test_rank_ceiling_enforced():
-    with pytest.raises(InvalidRank):
-        build_root_system(SimpleType("A", 13))
-    assert build_root_system(SimpleType("A", 13), max_rank=13).rank == 13
-
-
-def test_rank_ceiling_from_environment(monkeypatch):
-    monkeypatch.setenv("LIEAPPROX_MAX_RANK", "14")
-    assert build_root_system(SimpleType("B", 14)).num_positive_roots == 14 * 14
+def test_any_rank_is_built():
+    rs = build_root_system(SimpleType("A", 40))
+    assert rs.num_positive_roots == 40 * 41 // 2
+    assert rs.comark_vector == (1,) * 40
 
 
 def test_negative_weight_coordinates_rejected():
@@ -182,7 +177,7 @@ ORACLE_MAX_RANK = 24
 
 
 def _oracle_systems():
-    return [build_root_system(st, max_rank=ORACLE_MAX_RANK) for st in supported_types(ORACLE_MAX_RANK)]
+    return [build_root_system(st) for st in supported_types(ORACLE_MAX_RANK)]
 
 
 def test_roots_come_simple_first_then_by_height_and_lexicographically():

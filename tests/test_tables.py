@@ -138,6 +138,12 @@ def test_json_renderings_match_golden():
     assert render_dims(EXC, "json") == (GOLDEN / "dims_exceptional_json.golden").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+def test_csv_and_latex_renderings_match_golden(fmt):
+    assert render_rootcurves(EXC, fmt) == (GOLDEN / f"rootcurves_exceptional_{fmt}.golden").read_text()
+    assert render_dims(EXC, fmt) == (GOLDEN / f"dims_exceptional_{fmt}.golden").read_text()
+
+
 def test_renderings_deterministic_across_runs():
     for fmt in ("text", "csv", "json", "latex"):
         assert render_rootcurves(EXC, fmt) == render_rootcurves(EXC, fmt)
