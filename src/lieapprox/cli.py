@@ -1,6 +1,14 @@
 """Command-line surface: table reproduction, verification sweeps, bound
 queries for arbitrary types and nef divisors, and the approximation lab.
 
+It parses arguments, selects types, serializes reports and checks goldens;
+``tables`` builds the reports.  Each format has one serializer:
+``TABLE_FORMATS`` for a ``Table`` and ``VERIFY_FORMATS`` for verify rows,
+which share the CSV and JSON helpers.  A golden file is named
+``{table}_{selector}_{format}.golden``, the selector being ``all``
+followed by the rank ceiling, ``exceptional``, or the listed labels
+sorted and joined by ``-``.
+
 Exit codes: 0 all verdicts pass, 1 at least one verdict failed or a golden
 check mismatched, 2 usage or input errors.  Big integers are rendered as
 decimal strings in JSON and CSV so no consumer can lose precision.
@@ -19,12 +27,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from . import tables
-from .bounds import table_binomial, verify_colour, verify_nef
+from .bounds import verify_nef
 from .dioph import (
     PlaceSpec,
     RationalProjectivePoint,
@@ -33,102 +40,9 @@ from .dioph import (
     boundedness_trend,
 )
 from .errors import BadArgs, EngineError, InvalidRank
-from .rootsys import SimpleType, build_root_system, supported_types
+from .rootsys import SimpleType, supported_types
+from .tables import ReportRow, Table
 from .wonderful import NefDivisor, SemisimpleType, dim_X
-
-FORMATS = ("text", "csv", "json", "latex")
-
-# E8 rows are printed across two lines; split value lists after this many.
-_LATEX_SPLIT = 4
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One verification row: a colour of one simple type, with witnesses."""
-
-    type_label: str
-    weight_index: int
-    comark: int
-    table_binomial: int
-    required_count: int
-    end_dim: int
-    h0_dim: int | None
-    dense_lower_bound: int
-    passed: bool
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.type_label,
-            "weight_index": self.weight_index,
-            "comark": self.comark,
-            "table_binomial": str(self.table_binomial),
-            "required_count": str(self.required_count),
-            "end_dim": str(self.end_dim),
-            "h0_dim": None if self.h0_dim is None else str(self.h0_dim),
-            "dense_lower_bound": self.dense_lower_bound,
-            "pass": self.passed,
-            "notes": list(self.notes),
-        }
-
-    _CSV_FIELDS = (
-        "type",
-        "weight_index",
-        "comark",
-        "table_binomial",
-        "required_count",
-        "end_dim",
-        "h0_dim",
-        "dense_lower_bound",
-        "pass",
-        "notes",
-    )
-
-    def to_csv_record(self) -> dict:
-        d = self.to_dict()
-        d["h0_dim"] = "" if d["h0_dim"] is None else d["h0_dim"]
-        d["pass"] = "true" if d["pass"] else "false"
-        d["notes"] = json.dumps(d["notes"])
-        return d
-
-
-def rows_to_json(rows: list[ReportRow]) -> str:
-    return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2) + "\n"
-
-
-def rows_to_csv(rows: list[ReportRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=ReportRow._CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for r in rows:
-        writer.writerow(r.to_csv_record())
-    return buf.getvalue()
-
-
-def rows_to_text(rows: list[ReportRow]) -> str:
-    with_h0 = any(r.h0_dim is not None for r in rows)
-    header = f"{'type':<6} {'i':>2} {'comark':>6} {'dense>=':>7} {'pass':<5} {'end dim':>24}"
-    if with_h0:
-        header += f" {'h0':>24}"
-    header += "  notes"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        line = (
-            f"{r.type_label:<6} {r.weight_index:>2} {r.comark:>6} {r.dense_lower_bound:>7} "
-            f"{'PASS' if r.passed else 'FAIL':<5} {r.end_dim:>24}"
-        )
-        if with_h0:
-            line += f" {'-' if r.h0_dim is None else r.h0_dim:>24}"
-        lines.append(line + "  " + "; ".join(r.notes))
-    return "\n".join(lines) + "\n"
-
-
-def _join_values(values, split: int | None) -> list[str]:
-    strs = [str(v) for v in values]
-    if split is None or len(strs) <= split + 1:
-        return [", ".join(strs)]
-    return [", ".join(strs[:split]) + ",", ", ".join(strs[split:])]
-
 
 # ---------------------------------------------------------------------------
 # type selection and the classical rank ceiling
@@ -140,8 +54,11 @@ DEFAULT_MAX_RANK = 12
 MAX_RANK_ENV = "LIEAPPROX_MAX_RANK"
 
 
-def default_max_rank() -> int:
-    """Rank ceiling for classical families, from the environment or 12."""
+def rank_ceiling(rank_max: int | None = None) -> int:
+    """Rank ceiling for classical families: ``rank_max`` (``--rank-max``)
+    if given, else the environment, else 12."""
+    if rank_max is not None:
+        return rank_max
     raw = os.environ.get(MAX_RANK_ENV)
     if raw is None:
         return DEFAULT_MAX_RANK
@@ -164,11 +81,9 @@ def _check_ceiling(types, ceiling: int) -> None:
             )
 
 
-def _selected_types(selector: str, rank_max: int | None) -> list[SimpleType]:
+def _selected_types(selector: str, ceiling: int) -> list[SimpleType]:
     """The distinct types a ``--types`` selector names: ``all``,
-    ``exceptional`` or a comma list, each within the rank ceiling
-    (``rank_max``, else the environment, else 12)."""
-    ceiling = default_max_rank() if rank_max is None else rank_max
+    ``exceptional`` or a comma list, each within the rank ceiling."""
     if selector == "all":
         return supported_types(ceiling)
     if selector == "exceptional":
@@ -181,170 +96,141 @@ def _selected_types(selector: str, rank_max: int | None) -> list[SimpleType]:
 
 
 # ---------------------------------------------------------------------------
+# serializers: one per format, shared by the tables and the verify rows
+
+# E8 rows are printed across two lines; LaTeX splits them after this many values.
+_LATEX_SPLIT = 4
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(header, records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    return buf.getvalue()
+
+
+def table_text(table: Table) -> str:
+    lines = [table.title, "", *table.closed_forms, ""]
+    first, second = table.captions
+    for label, cell, values in (row.cells for row in table.rows):
+        lines.append(f"{label:<4} {first}{cell}")
+        lines.append(f"{'':<4} {second}{', '.join(values)}")
+    if table.appendix:
+        lines += ["", "discrepancy appendix:", *(f"  - {note}" for note in table.appendix)]
+    return "\n".join(lines) + "\n"
+
+
+def table_csv(table: Table) -> str:
+    """One record per position: a row's single values, the position, and the
+    entry of each of its lists there; then one record per appendix note."""
+    records = []
+    for row in table.rows:
+        single = [v for v in row.data.values() if not isinstance(v, list)]
+        lists = [v for v in row.data.values() if isinstance(v, list)]
+        records += [(*single, pos, *entries) for pos, entries in enumerate(zip(*lists), start=1)]
+    padding = [""] * (len(table.fields) - 2)
+    return _csv(table.fields, records + [("#", *padding, note) for note in table.appendix])
+
+
+def table_json(table: Table) -> str:
+    return _json({"table": table.name, "rows": [row.data for row in table.rows], "appendix": list(table.appendix)})
+
+
+def table_latex(table: Table) -> str:
+    def cell(text: str) -> str:
+        return f"${text}$" if table.math else text
+
+    lines = [r"\begin{tabular}{|c|c|c|}", r"\hline"]
+    for label, first, values in (row.cells for row in table.rows):
+        if label == "E8":
+            wrapped = [", ".join(values[:_LATEX_SPLIT]) + ",", ", ".join(values[_LATEX_SPLIT:])]
+        else:
+            wrapped = [", ".join(values)]
+        lines.append(f"${label}$ & {cell(first)} & {cell(wrapped[0])} \\\\")
+        lines += [f" & & {cell(extra)} \\\\" for extra in wrapped[1:]]
+        lines.append(r"\hline")
+    lines.append(r"\end{tabular}")
+    if table.appendix:
+        lines += ["% discrepancies:", *(f"%   {note}" for note in table.appendix)]
+    return "\n".join(lines) + "\n"
+
+
+#: ``tables --format`` choices and their serializers.
+TABLE_FORMATS = {"text": table_text, "csv": table_csv, "json": table_json, "latex": table_latex}
+
+
+def verify_text(rows: list[ReportRow]) -> str:
+    """The fixed-width verify layout, closed by the count of passing colours."""
+    with_h0 = any(r.h0_dim is not None for r in rows)
+    header = f"{'type':<6} {'i':>2} {'comark':>6} {'dense>=':>7} {'pass':<5} {'end dim':>24}"
+    if with_h0:
+        header += f" {'h0':>24}"
+    header += "  notes"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        line = (
+            f"{r.type_label:<6} {r.weight_index:>2} {r.comark:>6} {r.dense_lower_bound:>7} "
+            f"{'PASS' if r.passed else 'FAIL':<5} {r.end_dim:>24}"
+        )
+        if with_h0:
+            line += f" {'-' if r.h0_dim is None else r.h0_dim:>24}"
+        lines.append(line + "  " + "; ".join(r.notes))
+    lines.append(f"{sum(r.passed for r in rows)}/{len(rows)} colours verified")
+    return "\n".join(lines) + "\n"
+
+
+def verify_csv(rows: list[ReportRow]) -> str:
+    """The JSON rows as CSV: null is an empty cell, booleans and lists are JSON."""
+    records = [r.to_dict() for r in rows]
+    cells = [
+        ["" if v is None else json.dumps(v) if isinstance(v, (bool, list)) else v for v in record.values()]
+        for record in records
+    ]
+    return _csv(list(records[0]), cells)
+
+
+def verify_json(rows: list[ReportRow]) -> str:
+    return _json({"rows": [r.to_dict() for r in rows]})
+
+
+#: ``verify --format`` choices and their serializers.
+VERIFY_FORMATS = {"text": verify_text, "csv": verify_csv, "json": verify_json}
+
+
+# ---------------------------------------------------------------------------
 # tables subcommand
 
 
-def render_rootcurves(types: list[SimpleType], fmt: str) -> str:
-    """The root-curve table: comark row and binomial-threshold row per type,
-    printed in the reference row order, with a discrepancy appendix."""
-    rows = []
-    appendix: list[str] = []
-    for st in sorted(types):
-        comark_row = tables.computed_comark_row(st)
-        binom_row = tables.computed_curve_binomial_row(st)
-        rows.append((str(st), comark_row, binom_row))
-        appendix.extend(tables.audit_comarks(st).describe())
-        appendix.extend(tables.audit_curve_binomials(st).describe())
-        appendix.extend(tables.header_formula_flags(st))
-
-    if fmt == "json":
-        payload = {
-            "table": "rootcurves",
-            "rows": [
-                {
-                    "type": label,
-                    "comarks": list(comarks),
-                    "curve_binomials": [str(v) for v in binoms],
-                }
-                for label, comarks, binoms in rows
-            ],
-            "appendix": appendix,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["type", "position", "comark", "curve_binomial"])
-        for label, comarks, binoms in rows:
-            for pos, (c, b) in enumerate(zip(comarks, binoms), start=1):
-                writer.writerow([label, pos, c, str(b)])
-        for note in appendix:
-            writer.writerow(["#", "", "", note])
-        return buf.getvalue()
-    if fmt == "latex":
-        lines = [r"\begin{tabular}{|c|c|c|}", r"\hline"]
-        for label, comarks, binoms in rows:
-            split = _LATEX_SPLIT if label == "E8" else None
-            c_lines = _join_values(comarks, None)
-            b_lines = _join_values(binoms, split)
-            lines.append(f"${label}$ & {c_lines[0]} & {b_lines[0]} \\\\")
-            for extra in b_lines[1:]:
-                lines.append(f" & & {extra} \\\\")
-            lines.append(r"\hline")
-        lines.append(r"\end{tabular}")
-        if appendix:
-            lines.append("% discrepancies:")
-            lines.extend(f"%   {note}" for note in appendix)
-        return "\n".join(lines) + "\n"
-    # text
-    lines = ["root curve degrees (comarks) and printed binomial column", ""]
-    for family in "ABCD":
-        if any(st.family == family for st in types):
-            lines.append(
-                f"{family}n closed form: comarks {tables.CLOSED_FORMS['comarks'][family]}; "
-                f"binomials {tables.CLOSED_FORMS['curve_binomials'][family]}"
-            )
-    lines.append("")
-    for label, comarks, binoms in rows:
-        lines.append(f"{label:<4} comarks: {', '.join(map(str, comarks))}")
-        lines.append(f"{'':<4} binoms:  {', '.join(map(str, binoms))}")
-    if appendix:
-        lines.append("")
-        lines.append("discrepancy appendix:")
-        lines.extend(f"  - {note}" for note in appendix)
-    return "\n".join(lines) + "\n"
-
-
-def render_dims(types: list[SimpleType], fmt: str) -> str:
-    """The dimension table: dim X and squared fundamental dimensions, with a
-    discrepancy appendix against the printed reference values."""
-    rows = []
-    appendix: list[str] = []
-    for st in sorted(types):
-        dim = tables.computed_dim_x(st)
-        bases = tables.computed_end_base_row(st)
-        rows.append((str(st), dim, bases))
-        appendix.extend(tables.audit_dim_x(st).describe())
-        appendix.extend(tables.audit_end_bases(st).describe())
-
-    if fmt == "json":
-        payload = {
-            "table": "dims",
-            "rows": [
-                {
-                    "type": label,
-                    "dim_X": dim,
-                    "end_dim_bases": [str(b) for b in bases],
-                    "end_dims": [str(b * b) for b in bases],
-                }
-                for label, dim, bases in rows
-            ],
-            "appendix": appendix,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["type", "dim_X", "position", "base", "end_dim"])
-        for label, dim, bases in rows:
-            for pos, b in enumerate(bases, start=1):
-                writer.writerow([label, dim, pos, str(b), str(b * b)])
-        for note in appendix:
-            writer.writerow(["#", "", "", "", note])
-        return buf.getvalue()
-    if fmt == "latex":
-        lines = [r"\begin{tabular}{|c|c|c|}", r"\hline"]
-        for label, dim, bases in rows:
-            split = _LATEX_SPLIT if label == "E8" else None
-            value_lines = _join_values([f"{b}^2" for b in bases], split)
-            lines.append(f"${label}$ & ${dim}$ & ${value_lines[0]}$ \\\\")
-            for extra in value_lines[1:]:
-                lines.append(f" & & ${extra}$ \\\\")
-            lines.append(r"\hline")
-        lines.append(r"\end{tabular}")
-        if appendix:
-            lines.append("% discrepancies:")
-            lines.extend(f"%   {note}" for note in appendix)
-        return "\n".join(lines) + "\n"
-    lines = ["dim X and End dimensions of the fundamental representations", ""]
-    for family in "ABCD":
-        if any(st.family == family for st in types):
-            lines.append(
-                f"{family}n closed form: dim {tables.CLOSED_FORMS['dim_x'][family]}; "
-                f"dims {tables.CLOSED_FORMS['end_bases'][family]}"
-            )
-    lines.append("")
-    for label, dim, bases in rows:
-        lines.append(f"{label:<4} dim X = {dim}")
-        lines.append(f"{'':<4} dims:  {', '.join(f'{b}^2' for b in bases)}")
-    if appendix:
-        lines.append("")
-        lines.append("discrepancy appendix:")
-        lines.extend(f"  - {note}" for note in appendix)
-    return "\n".join(lines) + "\n"
-
-
 def cmd_tables(args) -> int:
-    types = _selected_types(args.types, args.rank_max)
-    render = render_rootcurves if args.which == "rootcurves" else render_dims
-    document = render(types, args.format)
-    if args.golden_dir is not None:
-        name = args.types if args.types in ("all", "exceptional") else "-".join(map(str, types))
-        path = Path(args.golden_dir) / f"{args.which}_{name}_{args.format}.golden"
-        if args.write_golden:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(document, encoding="utf-8")
-            print(f"wrote {path}")
-            return 0
-        if not path.exists():
-            print(f"golden file {path} missing", file=sys.stderr)
-            return 1
-        if path.read_text(encoding="utf-8") != document:
-            print(f"golden mismatch against {path}", file=sys.stderr)
-            return 1
-        print(f"golden match: {path}")
+    if args.write_golden and args.golden_dir is None:
+        raise BadArgs("--write-golden needs --golden-dir")
+    ceiling = rank_ceiling(args.rank_max)
+    types = _selected_types(args.types, ceiling)
+    build = tables.rootcurve_table if args.which == "rootcurves" else tables.dims_table
+    document = TABLE_FORMATS[args.format](build(types))
+    if args.golden_dir is None:
+        print(document, end="")
         return 0
-    print(document, end="")
+    # an ``all`` golden depends on the ceiling; a list is named by its labels
+    name = {"all": f"all{ceiling}", "exceptional": "exceptional"}.get(args.types, "-".join(map(str, types)))
+    path = Path(args.golden_dir) / f"{args.which}_{name}_{args.format}.golden"
+    if args.write_golden:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(document, encoding="utf-8")
+        print(f"wrote {path}")
+        return 0
+    if not path.exists():
+        print(f"golden file {path} missing", file=sys.stderr)
+        return 1
+    if path.read_text(encoding="utf-8") != document:
+        print(f"golden mismatch against {path}", file=sys.stderr)
+        return 1
+    print(f"golden match: {path}")
     return 0
 
 
@@ -352,57 +238,9 @@ def cmd_tables(args) -> int:
 # verify subcommand
 
 
-def verification_rows(types: list[SimpleType], mode: str) -> list[ReportRow]:
-    rows = []
-    for st in sorted(types):
-        rs = build_root_system(st)
-        dims_audit = tables.audit_end_bases(st)
-        node_order = tables.dims_node_order(st)
-        for i in range(1, rs.rank + 1):
-            end_verdict = verify_colour(st, i, mode="end")
-            verdict = verify_colour(st, i, mode="h0") if mode == "h0" else end_verdict
-            notes = []
-            position = node_order.index(i) + 1
-            if position in dims_audit.mismatch_positions:
-                if dims_audit.permuted_only:
-                    notes.append(
-                        f"reference dim table prints {dims_audit.printed[position - 1]} at "
-                        f"this position (row is a permutation of the computed one)"
-                    )
-                else:
-                    notes.append(
-                        f"reference dim table prints {dims_audit.printed[position - 1]} here, "
-                        f"computed {dims_audit.computed[position - 1]}"
-                    )
-            rows.append(
-                ReportRow(
-                    type_label=str(st),
-                    weight_index=i,
-                    comark=verdict.curve_constant,
-                    table_binomial=table_binomial(st, i),
-                    required_count=verdict.required_count,
-                    end_dim=end_verdict.available_sections,
-                    h0_dim=verdict.available_sections if mode == "h0" else None,
-                    dense_lower_bound=verdict.dense_lower_bound,
-                    passed=verdict.passed,
-                    notes=tuple(notes),
-                )
-            )
-    return rows
-
-
 def cmd_verify(args) -> int:
-    types = _selected_types(args.types, args.rank_max)
-    rows = verification_rows(types, args.mode)
-    if args.format == "json":
-        print(rows_to_json(rows), end="")
-    elif args.format == "csv":
-        print(rows_to_csv(rows), end="")
-    else:
-        print(rows_to_text(rows), end="")
-        total = len(rows)
-        good = sum(r.passed for r in rows)
-        print(f"{good}/{total} colours verified")
+    rows = tables.verification_rows(_selected_types(args.types, rank_ceiling(args.rank_max)), args.mode)
+    print(VERIFY_FORMATS[args.format](rows), end="")
     return 0 if all(r.passed for r in rows) else 1
 
 
@@ -412,7 +250,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     t = SemisimpleType.parse(args.type)
-    _check_ceiling(t.factors, default_max_rank())
+    _check_ceiling(t.factors, rank_ceiling())
     try:
         flat = [int(c) for c in args.divisor.split(",") if c.strip() != ""]
     except ValueError:
@@ -420,7 +258,7 @@ def cmd_bound(args) -> int:
     D = NefDivisor.from_flat(t, flat)
     report = verify_nef(t, D)
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_json(report.to_dict()), end="")
     else:
         print(f"type {report.type_label}, divisor ({D}), dim X = {dim_X(t)}")
         if report.trivial:
@@ -478,7 +316,7 @@ def cmd_alpha(args) -> int:
         trends.append({"gamma": trend.gamma, "slope": trend.slope, "verdict": trend.verdict})
     if args.format == "json":
         payload["trends"] = trends
-        print(json.dumps(payload, indent=2))
+        print(_json(payload), end="")
     else:
         print(f"target {target} at place {place}, {args.count} points on a line, m = {args.m}")
         for s in samples[-3:]:
@@ -534,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tables = sub.add_parser("tables", help="reproduce the reference tables")
     p_tables.add_argument("which", choices=("rootcurves", "dims"))
-    p_tables.add_argument("--format", choices=FORMATS, default="text")
+    p_tables.add_argument("--format", choices=TABLE_FORMATS, default="text")
     p_tables.add_argument("--types", default="all", help="all, exceptional, or a comma list like E8,G2")
     p_tables.add_argument("--rank-max", type=_positive_int, default=None, help=RANK_MAX_HELP)
     p_tables.add_argument("--golden-dir", default=None, help="check output against a fixture file")
@@ -545,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--types", default="all")
     p_verify.add_argument("--rank-max", type=_positive_int, default=None, help=RANK_MAX_HELP)
     p_verify.add_argument("--mode", choices=("end", "h0"), default="end")
-    p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p_verify.add_argument("--format", choices=VERIFY_FORMATS, default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bound = sub.add_parser("bound", help="verdicts for an arbitrary nef divisor")

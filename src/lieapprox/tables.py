@@ -14,6 +14,11 @@ walks the chain from the long arm (r, r-1, ..., 3, 1) with the branch node 2
 last, the dimension table walks it from node 1 (1, 3, 4, ..., r) with the
 branch node last.  Audits therefore compare rows under the documented
 traversal and as multisets, flagging any row that needs a permutation.
+
+The report model is format-free: ``rootcurve_table`` and ``dims_table``
+build a ``Table`` (rows with their appendix of flags) and
+``verification_rows`` the per-colour ``ReportRow``s of a verify sweep;
+the command line serializes them.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .bounds import table_binomial
+from .bounds import table_binomial, verify_colour
 from .rootsys import SimpleType, build_root_system
 
 EXCEPTIONAL_LABELS = ("E6", "E7", "E8", "F4", "G2")
@@ -52,31 +57,20 @@ _PRINTED_END_BASES = {
     "G2": (7, 14),
 }
 
-#: Closed-form strings displayed next to instantiated classical rows.
+#: Closed form of each classical family's row, printed in each table's text
+#: header when the family is shown.
 CLOSED_FORMS = {
-    "comarks": {
-        "A": "1, ..., 1",
-        "B": "1, 2, ..., 2, 1",
-        "C": "1, ..., 1",
-        "D": "1, 2, ..., 2, 1, 1",
+    "rootcurves": {
+        "A": "comarks 1, ..., 1; binomials 1, ..., 1",
+        "B": "comarks 1, 2, ..., 2, 1; binomials 1, n(2n+1), ..., n(2n+1), 1",
+        "C": "comarks 1, ..., 1; binomials 1, ..., 1",
+        "D": "comarks 1, 2, ..., 2, 1, 1; binomials 1, n(2n-1), ..., n(2n-1), 1, 1",
     },
-    "curve_binomials": {
-        "A": "1, ..., 1",
-        "B": "1, n(2n+1), ..., n(2n+1), 1",
-        "C": "1, ..., 1",
-        "D": "1, n(2n-1), ..., n(2n-1), 1, 1",
-    },
-    "dim_x": {
-        "A": "n(n+2)",
-        "B": "n(2n+1)",
-        "C": "n(2n+1)",
-        "D": "n(2n-1)",
-    },
-    "end_bases": {
-        "A": "(n+1)^2, ..., C(n+1,k)^2, ..., (n+1)^2",
-        "B": "(2n+1)^2, ..., C(2n+1,k)^2, ..., C(2n+1,n)^2",
-        "C": "(2n)^2, ..., (C(2n,k)-C(2n,k-2))^2, ...",
-        "D": "(2n)^2, ..., C(2n,k)^2, ..., C(2n,n-1)^2, (C(2n,n)/2)^2",
+    "dims": {
+        "A": "dim n(n+2); dims (n+1)^2, ..., C(n+1,k)^2, ..., (n+1)^2",
+        "B": "dim n(2n+1); dims (2n+1)^2, ..., C(2n+1,k)^2, ..., C(2n+1,n)^2",
+        "C": "dim n(2n+1); dims (2n)^2, ..., (C(2n,k)-C(2n,k-2))^2, ...",
+        "D": "dim n(2n-1); dims (2n)^2, ..., C(2n,k)^2, ..., C(2n,n-1)^2, (C(2n,n)/2)^2",
     },
 }
 
@@ -256,3 +250,166 @@ def header_formula_flags(st: SimpleType) -> list[str]:
                 f"header formula gives C({n}+{d}-1,{n})={header_form}"
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# report model: the two tables and the verification rows
+
+
+@dataclass(frozen=True)
+class TableRow:
+    """One type's row of a reference table, in two views.
+
+    ``data`` is the row as a JSON object, big integers as decimal strings.
+    ``cells`` is the printed row: the type label, the first cell and the
+    values of the second cell, which a long row wraps."""
+
+    data: dict
+    cells: tuple[str, str, tuple[str, ...]]
+
+
+@dataclass(frozen=True)
+class Table:
+    """A reference table with its discrepancy appendix, ready for any format.
+
+    ``fields`` heads the CSV columns, ``captions`` open the two text lines of
+    a row, and ``math`` sets the LaTeX cells in math mode."""
+
+    name: str
+    title: str
+    closed_forms: tuple[str, ...]
+    fields: tuple[str, ...]
+    captions: tuple[str, str]
+    math: bool
+    rows: tuple[TableRow, ...]
+    appendix: tuple[str, ...]
+
+
+def _closed_forms(name: str, types) -> tuple[str, ...]:
+    families = {st.family for st in types}
+    return tuple(f"{f}n closed form: {CLOSED_FORMS[name][f]}" for f in "ABCD" if f in families)
+
+
+def rootcurve_table(types) -> Table:
+    """The root-curve table: comark row and binomial-threshold row per type,
+    in the reference row order, with a discrepancy appendix."""
+    rows, appendix = [], []
+    for st in sorted(types):
+        comarks = computed_comark_row(st)
+        binoms = [str(b) for b in computed_curve_binomial_row(st)]
+        rows.append(TableRow(
+            {"type": str(st), "comarks": list(comarks), "curve_binomials": binoms},
+            (str(st), ", ".join(map(str, comarks)), tuple(binoms)),
+        ))
+        appendix += audit_comarks(st).describe() + audit_curve_binomials(st).describe()
+        appendix += header_formula_flags(st)
+    return Table(
+        name="rootcurves",
+        title="root curve degrees (comarks) and printed binomial column",
+        closed_forms=_closed_forms("rootcurves", types),
+        fields=("type", "position", "comark", "curve_binomial"),
+        captions=("comarks: ", "binoms:  "),
+        math=False,
+        rows=tuple(rows),
+        appendix=tuple(appendix),
+    )
+
+
+def dims_table(types) -> Table:
+    """The dimension table: dim X and squared fundamental dimensions per
+    type, with a discrepancy appendix against the printed values."""
+    rows, appendix = [], []
+    for st in sorted(types):
+        dim = computed_dim_x(st)
+        bases = computed_end_base_row(st)
+        rows.append(TableRow(
+            {
+                "type": str(st),
+                "dim_X": dim,
+                "end_dim_bases": [str(b) for b in bases],
+                "end_dims": [str(b * b) for b in bases],
+            },
+            (str(st), str(dim), tuple(f"{b}^2" for b in bases)),
+        ))
+        appendix += audit_dim_x(st).describe() + audit_end_bases(st).describe()
+    return Table(
+        name="dims",
+        title="dim X and End dimensions of the fundamental representations",
+        closed_forms=_closed_forms("dims", types),
+        fields=("type", "dim_X", "position", "base", "end_dim"),
+        captions=("dim X = ", "dims:  "),
+        math=True,
+        rows=tuple(rows),
+        appendix=tuple(appendix),
+    )
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    """One verification row: a colour of one simple type, with witnesses."""
+
+    type_label: str
+    weight_index: int
+    comark: int
+    table_binomial: int
+    required_count: int
+    end_dim: int
+    h0_dim: int | None
+    dense_lower_bound: int
+    passed: bool
+    notes: tuple[str, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self.type_label,
+            "weight_index": self.weight_index,
+            "comark": self.comark,
+            "table_binomial": str(self.table_binomial),
+            "required_count": str(self.required_count),
+            "end_dim": str(self.end_dim),
+            "h0_dim": None if self.h0_dim is None else str(self.h0_dim),
+            "dense_lower_bound": self.dense_lower_bound,
+            "pass": self.passed,
+            "notes": list(self.notes),
+        }
+
+
+def _dims_notes(audit: RowAudit, position: int) -> tuple[str, ...]:
+    """The note on a colour whose cell of the printed dimension table
+    (``position``, 1-based) differs from the computed one."""
+    if position not in audit.mismatch_positions:
+        return ()
+    printed = audit.printed[position - 1]
+    if audit.permuted_only:
+        return (
+            f"reference dim table prints {printed} at this position "
+            "(row is a permutation of the computed one)",
+        )
+    return (f"reference dim table prints {printed} here, computed {audit.computed[position - 1]}",)
+
+
+def verification_rows(types, mode: str) -> list[ReportRow]:
+    """One row per colour of every type: the End verdict, or the full
+    section count in ``h0`` mode, noted where the dimension table differs."""
+    rows = []
+    for st in sorted(types):
+        audit = audit_end_bases(st)
+        node_order = dims_node_order(st)
+        for i in range(1, st.rank + 1):
+            end_verdict = verify_colour(st, i, mode="end")
+            verdict = verify_colour(st, i, mode="h0") if mode == "h0" else end_verdict
+            rows.append(
+                ReportRow(
+                    type_label=str(st),
+                    weight_index=i,
+                    comark=verdict.curve_constant,
+                    table_binomial=table_binomial(st, i),
+                    required_count=verdict.required_count,
+                    end_dim=end_verdict.available_sections,
+                    h0_dim=verdict.available_sections if mode == "h0" else None,
+                    dense_lower_bound=verdict.dense_lower_bound,
+                    passed=verdict.passed,
+                    notes=_dims_notes(audit, node_order.index(i) + 1),
+                )
+            )
+    return rows

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieapprox.cli import MAX_RANK_ENV, main, render_dims, rows_to_json, verification_rows
+from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, main, verify_json
 from lieapprox.rootsys import SimpleType
+from lieapprox.tables import dims_table, verification_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,9 +30,23 @@ def test_verify_matches_golden(mode, fmt, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"verify_exceptional_{mode}_{fmt}.golden").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_all_matches_golden(fmt, capsys):
+    assert main(["verify", "--types", "all", "--rank-max", "5", "--format", fmt]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"verify_all5_end_{fmt}.golden").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
+@pytest.mark.parametrize("which", ["rootcurves", "dims"])
+def test_tables_all_match_golden(which, fmt, capsys):
+    # classical rows: the closed-form header lines and the B/D spin-cell appendix
+    assert main(["tables", which, "--types", "all", "--rank-max", "5", "--format", fmt]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{which}_all5_{fmt}.golden").read_text()
+
+
 def test_json_big_integers_are_decimal_strings():
     rows = _sample_rows()
-    payload = json.loads(rows_to_json(rows))
+    payload = json.loads(verify_json(rows))
     e8_row = next(r for r in payload["rows"] if r["type"] == "E8" and r["weight_index"] == 4)
     assert e8_row["end_dim"] == str(6899079264**2)
     assert isinstance(e8_row["end_dim"], str)
@@ -198,7 +213,7 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
-def test_tables_golden_check_cycle(tmp_path, capsys):
+def test_tables_golden_check_cycle(tmp_path, monkeypatch, capsys):
     args = ["tables", "dims", "--types", "exceptional", "--golden-dir", str(tmp_path)]
     assert main(args + ["--write-golden"]) == 0
     assert main(args) == 0
@@ -212,6 +227,22 @@ def test_tables_golden_check_cycle(tmp_path, capsys):
     assert main(listed + ["E8,G2,E8"]) == 0
     assert main(listed + ["E8"]) == 1
     capsys.readouterr()
+    # an ``all`` golden is named by its ceiling, so another ceiling finds no file
+    monkeypatch.delenv(MAX_RANK_ENV, raising=False)
+    every = ["tables", "dims", "--types", "all", "--golden-dir", str(tmp_path)]
+    assert main(every + ["--rank-max", "5", "--write-golden"]) == 0
+    assert (tmp_path / "dims_all5_text.golden").exists()
+    assert main(every + ["--rank-max", "5"]) == 0
+    capsys.readouterr()
+    assert main(every) == 1
+    assert capsys.readouterr().err == f"golden file {tmp_path / 'dims_all12_text.golden'} missing\n"
+
+
+def test_write_golden_needs_golden_dir(capsys):
+    assert main(["tables", "dims", "--types", "E8", "--write-golden"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --write-golden needs --golden-dir\n"
 
 
 def test_alpha_command(capsys):
@@ -244,7 +275,7 @@ def test_alpha_padic_place(capsys):
 
 
 def test_dims_text_shows_closed_forms_for_classical_rows():
-    doc = render_dims([SimpleType.parse("B3"), SimpleType.parse("B4")], "text")
+    doc = TABLE_FORMATS["text"](dims_table([SimpleType.parse("B3"), SimpleType.parse("B4")]))
     assert "Bn closed form" in doc
     assert "B3" in doc and "B4" in doc
 
@@ -288,9 +319,8 @@ def _verify_argv(draw):
 def _tables_argv(draw):
     argv = ["tables", draw(_mostly(["rootcurves", "dims"], ["x"])), "--types", draw(_selector)]
     argv += draw(_rank_max) + ["--format", draw(_mostly(["text", "csv", "json", "latex"], ["x"]))]
-    if draw(st.booleans()):
-        argv += ["--golden-dir", str(GOLDEN)]
-    return argv
+    # never both flags together: that would write into tests/golden
+    return argv + draw(st.sampled_from([[], ["--golden-dir", str(GOLDEN)], ["--write-golden"]]))
 
 
 @st.composite

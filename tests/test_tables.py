@@ -4,11 +4,19 @@ from pathlib import Path
 import pytest
 
 from lieapprox import tables
-from lieapprox.cli import render_dims, render_rootcurves
+from lieapprox.cli import TABLE_FORMATS
 from lieapprox.rootsys import SimpleType, supported_types
 
 GOLDEN = Path(__file__).parent / "golden"
 EXC = [SimpleType.parse(s) for s in tables.EXCEPTIONAL_LABELS]
+
+
+def render_rootcurves(types, fmt):
+    return TABLE_FORMATS[fmt](tables.rootcurve_table(types))
+
+
+def render_dims(types, fmt):
+    return TABLE_FORMATS[fmt](tables.dims_table(types))
 
 
 # -- the root-curve table reproduces exactly -----------------------------------
