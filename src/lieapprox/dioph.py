@@ -14,6 +14,11 @@ is bounded by 2 at the archimedean place (ultrametrically by 1 at finite
 places).  Any bounded-factor change of distance leaves approximation
 constants unchanged, so results do not depend on this normalization.
 
+It is evaluated on integers: the cross terms are computed once, and one
+Fraction is built from them.  At a finite place p the denominator is 1,
+because points are kept primitive, so each has a coordinate that p does
+not divide; the distance is then p^-(min v_p of the nonzero cross terms).
+
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
 over a configurable tail, together with the tail extremes.
@@ -90,7 +95,9 @@ class RationalProjectivePoint:
 
     @classmethod
     def parse(cls, text: str) -> "RationalProjectivePoint":
-        parts = [p for p in text.replace(",", ":").split(":") if p.strip()]
+        parts = text.replace(",", ":").split(":")
+        if not all(p.strip() for p in parts):
+            raise BadArgs(f"empty coordinate in projective point {text!r}")
         try:
             return cls(tuple(int(p) for p in parts))
         except ValueError:
@@ -150,18 +157,28 @@ def distance(
     x: RationalProjectivePoint, y: RationalProjectivePoint, place: PlaceSpec
 ) -> Fraction:
     """Projective distance at the place, an exact non-negative rational,
-    zero iff x == y; at most 2 archimedean, at most 1 at a finite place."""
+    zero iff x == y; at most 2 archimedean, at most 1 at a finite place.
+
+    The nonzero cross terms x_i y_j - x_j y_i are computed once, as
+    integers, and the result is the one Fraction built from them:
+    max |cross| / (max_i |x_i| * max_j |y_j|) at the archimedean place, and
+    p^-(min v_p(cross)) at a finite place p, where the denominator is 1
+    because both points are primitive.
+    """
     if x.dimension != y.dimension:
         raise DimensionMismatch(f"{x} and {y} live in different projective spaces")
-    cross = Fraction(0)
-    n = len(x.coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = place.abs(x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i])
-            if value > cross:
-                cross = value
-    denom = max(place.abs(c) for c in x.coords) * max(place.abs(c) for c in y.coords)
-    return cross / denom
+    xs, ys = x.coords, y.coords
+    n = len(xs)
+    cross = [c for i in range(n) for j in range(i + 1, n) if (c := xs[i] * ys[j] - xs[j] * ys[i])]
+    if not cross:
+        return Fraction(0)
+    p = place.prime
+    if p is None:
+        return Fraction(max(map(abs, cross)), max(map(abs, xs)) * max(map(abs, ys)))
+    # Both points are primitive, so each has a coordinate that p does not
+    # divide: max_i |x_i|_p = max_j |y_j|_p = 1, and the denominator is 1.
+    # min v_p over the cross terms is v_p of their gcd.
+    return Fraction(1, p ** _valuation(math.gcd(*cross), p))
 
 
 @dataclass(frozen=True)
@@ -323,6 +340,8 @@ def boundedness_trend(
     if var == 0:
         raise NotConverging("heights do not grow along the tail")
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / var
+    if not math.isfinite(slope):
+        raise BadArgs(f"the trend at gamma {gamma} has a non-finite slope ({slope})")
     if slope < -threshold:
         verdict = "bounded"
     elif slope > threshold:

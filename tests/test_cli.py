@@ -265,6 +265,28 @@ def test_alpha_trend_flags(capsys):
     assert verdicts == {0.8: "unbounded", 1.2: "bounded"}
 
 
+_ALPHA_GOLDENS = [
+    (f"alpha_P2_{place}", ["--P", "3:-2:5", "--place", place, "--count", "300", "--gamma", "1.0"])
+    for place in ("inf", "2", "3", "7")
+] + [("alpha_P3_5", ["--P", "0:2:-3:7", "--place", "5", "--count", "200"])]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, args", _ALPHA_GOLDENS)
+def test_alpha_matches_golden(name, args, fmt, capsys):
+    # text prints the exact distances (1/p^i at a prime), json full-precision floats
+    assert main(["alpha", *args, "--format", fmt]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}_{fmt}.golden").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_alpha_rejects_a_gamma_whose_trend_overflows(fmt, capsys):
+    assert main(["alpha", "--P", "1:0", "--count", "50", "--gamma", "1e308", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the trend at gamma 1e+308 has a non-finite slope")
+
+
 def test_alpha_padic_place(capsys):
     assert main(["alpha", "--P", "1:0", "--place", "2", "--count", "40"]) == 0
     out = capsys.readouterr().out
@@ -342,16 +364,21 @@ def _bound_argv(draw):
 def _alpha_argv(draw):
     argv = [
         "alpha",
-        "--P", draw(_mostly(["1:0", "0:1", "1:2:3", "2:4", "3:-1:2"], ["0:0", "a:b", "1"])),
+        "--P", draw(_mostly(["1:0", "0:1", "1:2:3", "2:4", "3:-1:2"],
+                            ["0:0", "a:b", "1", "1::0", "1:0:", ":1:0"])),
         "--place", draw(_mostly(["inf", "2", "3", "5", "7"], ["4", "1", "0", "-3", "x"])),
         "--count", str(draw(st.integers(-5, 200))),
         "--m", str(draw(_mostly([1, 2, 3], [0, -1]))),
         "--tail", draw(_mostly(["0.5", "1", "0.25"], ["0.01", "0", "1.5", "nan"])),
         "--format", draw(st.sampled_from(["text", "json"])),
     ]
-    for gamma in draw(st.lists(_mostly(["1.0", "0.5", "2"], ["nan", "x"]), max_size=2)):
+    for gamma in draw(st.lists(_mostly(["1.0", "0.5", "2"], ["nan", "x", "1e308"]), max_size=2)):
         argv += ["--gamma", gamma]
     return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @settings(max_examples=150, deadline=None)
@@ -367,3 +394,6 @@ def test_exit_code_contract(argv, env):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error: " in err.getvalue(), argv
+    # a golden check prints its verdict, not the document
+    if code == 0 and "json" in argv and "--golden-dir" not in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

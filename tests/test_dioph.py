@@ -44,6 +44,16 @@ def test_point_rejects_degenerate_input():
         Point.parse("x:y")
 
 
+@pytest.mark.parametrize("text", ["1::0", "1:0:", ":1:0", "1, ,0", ""])
+def test_parse_rejects_empty_coordinates(text):
+    with pytest.raises(BadArgs, match="empty coordinate"):
+        Point.parse(text)
+
+
+def test_parse_accepts_either_separator():
+    assert Point.parse("2:-4, 6") == Point((1, -2, 3))
+
+
 def test_place_validation():
     assert PlaceSpec.at(2).prime == 2
     assert PlaceSpec.archimedean().is_archimedean
@@ -113,6 +123,47 @@ def test_distance_symmetric_and_bounded():
 def test_distance_padic():
     # cross term 1, both points primitive, so the 2-adic distance is |8|_2 = 1/8
     assert distance(Point((1, 8)), Point((1, 0)), PlaceSpec.at(2)) == Fraction(1, 8)
+
+
+def _distance_by_abs(x, y, place):
+    """The distance as first written: a Fraction for every cross term and
+    every coordinate through PlaceSpec.abs, compared and divided."""
+    cross = Fraction(0)
+    n = len(x.coords)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = place.abs(x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i])
+            if value > cross:
+                cross = value
+    denom = max(place.abs(c) for c in x.coords) * max(place.abs(c) for c in y.coords)
+    return cross / denom
+
+
+# coordinates carrying powers of 2 up to 2^40 and of 3 up to 3^30, so cross
+# terms have large and unequal valuations at 2 and 3
+_coordinate = st.builds(
+    lambda unit, a, b: unit * 2**a * 3**b,
+    st.integers(-60, 60), st.integers(0, 40), st.integers(0, 30),
+)
+
+
+@st.composite
+def _point_pair(draw):
+    n = draw(st.integers(2, 4))
+    coords = st.lists(_coordinate, min_size=n, max_size=n).filter(any)
+    x = Point(tuple(draw(coords)))
+    y = x if draw(st.integers(0, 4)) == 0 else Point(tuple(draw(coords)))
+    return x, y
+
+
+@settings(max_examples=400)
+@given(_point_pair(), st.sampled_from([None, 2, 3, 5, 7, 11]))
+def test_distance_matches_the_fraction_oracle(pair, prime):
+    x, y = pair
+    place = PlaceSpec(prime)
+    d = distance(x, y, place)
+    assert d == _distance_by_abs(x, y, place)
+    assert (d == 0) == (x == y)
 
 
 def test_distance_dimension_mismatch():
