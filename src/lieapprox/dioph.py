@@ -257,6 +257,17 @@ class AlphaEstimate:
     tail_count: int
 
 
+def _by_height_then_distance(samples: Sequence[ApproxSample]) -> list[ApproxSample]:
+    """Samples by ascending height, and at equal height by descending distance.
+
+    Two stable sorts give the order of the key (height, -distance), ties
+    included, without negating a Fraction per sample.
+    """
+    ordered = sorted(samples, key=lambda s: s.distance, reverse=True)
+    ordered.sort(key=lambda s: s.height)
+    return ordered
+
+
 def alpha_estimate(
     samples: Sequence[ApproxSample], tail_fraction: float = 0.5
 ) -> AlphaEstimate:
@@ -277,7 +288,7 @@ def alpha_estimate(
             f"tail_fraction {tail_fraction} leaves {len(samples) - start} of "
             f"{len(samples)} samples in the tail, need at least 2"
         )
-    ordered = sorted(samples, key=lambda s: (s.height, -s.distance))
+    ordered = _by_height_then_distance(samples)
     seen = set()
     for s in ordered:
         if s.point.coords in seen:

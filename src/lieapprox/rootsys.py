@@ -14,12 +14,18 @@ d = 1 on short roots, making (alpha_i, alpha_j) = d[i] a[i][j] and every
 coroot pairing an integer.
 
 Each type is built once (``build_root_system`` caches it), and every
-invariant is computed once and cached on its ``RootSystem``: the positive
+invariant is computed once and cached on its ``RootSystem``.  The positive
 roots, their weights and their half-norms come out of one closure pass,
-and the coroot rows, comarks, fundamental dimensions and dim X are cached
-properties derived from them.  Every rank is built on request: a ceiling on
-the ranks a sweep covers is the caller's policy (``supported_types`` takes
-it as an argument; the command line checks its own).
+which raises each root alpha by every simple reflection s_i with
+<alpha, alpha_i^vee> < 0; every positive root is reached so from the simple
+roots (Humphreys, Introduction to Lie Algebras and Representation Theory,
+10.2), and a reflection keeps the half-norm.  The coroot rows, comarks,
+fundamental dimensions and dim X are cached properties derived from the
+closure; the coroot rows and fundamental dimensions are computed column by
+column, one column per simple root.
+Every rank is built on request: a ceiling on the ranks a sweep covers is
+the caller's policy (``supported_types`` takes it as an argument; the
+command line checks its own).
 
 All values are immutable after construction and safe to share across
 concurrent workers.
@@ -29,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from math import prod
+from operator import add, floordiv, mod, mul
 
 from .errors import BadIndex, InvalidRank, NonDominant, NotARoot
 
@@ -231,23 +238,31 @@ def _cartan_data(st: SimpleType) -> tuple[list[list[int]], list[int]]:
     return a, [1, 3]
 
 
-#: Radix of the integer keys the closure probes.  Root coefficients are at
-#: most 6 (E8), so a probe that steps below zero borrows into a digit 7,
-#: which no root has.
+#: Radix of the integer keys that index the closure.  Root coefficients are
+#: at most 6 (E8), and a reflection only raises a coefficient, so adding
+#: -w * place[i] to a key never carries out of a digit.
 _KEY_RADIX = 8
 
 
 def _close_positive_roots(
     entries: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-    """All positive roots by root-string closure, with their weights and half-norms.
+    """All positive roots by simple reflections, with their weights and half-norms.
 
-    Processes roots by height; alpha + alpha_i is a root iff the alpha_i-string
-    depth below alpha exceeds <alpha, alpha_i^vee>.  Each root carries its
-    weight vector A c (one Cartan column added per step) and its half-norm,
-    hn(alpha + alpha_i) = hn(alpha) + d_i (<alpha, alpha_i^vee> + 1).  The
-    depth probes run on a mixed-radix integer key whose most significant
-    digit is c_1, so key order is lexicographic order on coefficients.
+    A positive root alpha with w_i = <alpha, alpha_i^vee> < 0 is not alpha_i,
+    so s_i alpha = alpha - w_i alpha_i is again a positive root, of height
+    height(alpha) - w_i.  Every positive root is reached this way: a
+    non-simple positive root beta has some i with <beta, alpha_i^vee> > 0
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2), and then s_i beta is a positive root of lower height from which
+    s_i leads back up to beta.  New roots wait in a bucket for their height,
+    and the buckets are processed in increasing height.
+
+    Each root carries its weight vector A c, which s_i moves by -w_i times
+    Cartan column i, and its half-norm, which s_i leaves unchanged because
+    reflections are isometries.  Roots are indexed by a mixed-radix integer
+    key whose most significant digit is c_1, so key order is lexicographic
+    order on coefficients.
 
     Returns the coefficient tuples, simple roots first and then each height
     in ascending lexicographic order, and the matching weight vectors and
@@ -265,30 +280,28 @@ def _close_positive_roots(
         known[place[i]] = (coeffs, [row[i] for row in entries], symmetrizer[i])
     current = list(known)
     out = list(known.values())
+    # height -> keys of the roots of that height found so far.  Every height
+    # from 1 to the highest root's is taken (Humphreys 10.2, Corollary to
+    # Lemma A), so the first empty bucket ends the closure.
+    buckets: dict[int, list[int]] = {}
+    height = 1
     while current:
-        nxt: list[int] = []
         for key in current:
             coeffs, weight, halfnorm = known[key]
-            for i in range(rank):
-                step = place[i]
-                depth = 0
-                probe = key - step
-                while probe in known:
-                    depth += 1
-                    probe -= step
-                if depth > weight[i]:
-                    up = key + step
+            for i, w in enumerate(weight):
+                if w < 0:
+                    up = key - w * place[i]
                     if up not in known:
                         up_coeffs = coeffs.copy()
-                        up_coeffs[i] += 1
+                        up_coeffs[i] -= w
                         up_weight = weight.copy()
                         for j, a_ji in columns[i]:
-                            up_weight[j] += a_ji
-                        known[up] = (up_coeffs, up_weight, halfnorm + symmetrizer[i] * (weight[i] + 1))
-                        nxt.append(up)
-        nxt.sort()
-        out.extend(known[key] for key in nxt)
-        current = nxt
+                            up_weight[j] -= w * a_ji
+                        known[up] = (up_coeffs, up_weight, halfnorm)
+                        buckets.setdefault(height - w, []).append(up)
+        height += 1
+        current = sorted(buckets.pop(height, ()))
+        out.extend(map(known.__getitem__, current))
     return [tuple(c) for c, _, _ in out], [tuple(w) for _, w, _ in out], [hn for _, _, hn in out]
 
 
@@ -340,23 +353,37 @@ class RootSystem:
         assert norm2 > 0 and norm2 % 2 == 0
         return norm2 // 2
 
-    def _coroot_row(self, alpha: Root, d_alpha: int) -> tuple[int, ...]:
-        # <omega_j, alpha^vee> = c_j d_j / hn(alpha), which must be integral.
+    def coroot_row(self, alpha: Root) -> tuple[int, ...]:
+        """The vector (<omega_1, alpha^vee>, ..., <omega_r, alpha^vee>).
+
+        <omega_j, alpha^vee> = c_j d_j / hn(alpha), which must be integral.
+        """
+        d_alpha = self.root_halfnorm(alpha)
         nums = tuple(map(mul, alpha.coeffs, self.cartan.symmetrizer))
-        if d_alpha == 1:
-            return nums
         if any(num % d_alpha for num in nums):
             raise NotARoot(f"{alpha.coeffs} has a non-integral coroot pairing")
         return tuple(num // d_alpha for num in nums)
 
-    def coroot_row(self, alpha: Root) -> tuple[int, ...]:
-        """The vector (<omega_1, alpha^vee>, ..., <omega_r, alpha^vee>)."""
-        return self._coroot_row(alpha, self.root_halfnorm(alpha))
-
     @cached_property
     def coroot_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Coroot pairing rows for every positive root, in positive_roots order."""
-        return tuple(map(self._coroot_row, self.positive_roots, self.root_halfnorms))
+        """Coroot pairing rows for every positive root, in positive_roots order.
+
+        Computed column by column: column j holds c_j d_j / hn(alpha) for every
+        root.  In a simply-laced type d and every half-norm are 1, so the rows
+        are the coefficient tuples themselves.
+        """
+        coeffs = [alpha.coeffs for alpha in self.positive_roots]
+        halfnorms = self.root_halfnorms
+        if all(d_j == 1 for d_j in self.cartan.symmetrizer):
+            return tuple(coeffs)
+        columns = []
+        for d_j, column in zip(self.cartan.symmetrizer, zip(*coeffs)):
+            nums = [c * d_j for c in column]
+            if any(map(mod, nums, halfnorms)):
+                bad = next(c for c, num, hn in zip(coeffs, nums, halfnorms) if num % hn)
+                raise NotARoot(f"{bad} has a non-integral coroot pairing")
+            columns.append(map(floordiv, nums, halfnorms))
+        return tuple(zip(*columns))
 
     @cached_property
     def comark_vector(self) -> tuple[int, ...]:
@@ -367,21 +394,16 @@ class RootSystem:
     def fundamental_dims(self) -> tuple[int, ...]:
         """(dim V(omega_1), ..., dim V(omega_r)) by the Weyl dimension formula.
 
-        One pass over coroot_rows: at omega_k a root's factor
-        (h + row[k]) / h, with h = <rho, alpha^vee> = sum(row), is 1 unless
-        row[k] != 0, so only those roots enter the k-th products.
+        dim V(omega_k) is the product over positive roots of
+        (h + row[k]) / h, with h = <rho, alpha^vee> = sum(row): one product
+        per column of coroot_rows over the common denominator prod(h).
         """
-        num = [1] * self.rank
-        den = [1] * self.rank
-        for row in self.coroot_rows:
-            h = sum(row)
-            for k, r in enumerate(row):
-                if r:
-                    num[k] *= h + r
-                    den[k] *= h
+        rows = self.coroot_rows
+        heights = list(map(sum, rows))
+        den = prod(heights)
         dims = []
-        for k, (n, d) in enumerate(zip(num, den), start=1):
-            quotient, remainder = divmod(n, d)
+        for k, column in enumerate(zip(*rows), start=1):
+            quotient, remainder = divmod(prod(map(add, heights, column)), den)
             if remainder:
                 raise ArithmeticError(f"Weyl numerator not divisible for {self.type}, omega_{k}")
             dims.append(quotient)
@@ -417,15 +439,15 @@ def build_root_system(st: SimpleType) -> RootSystem:
     cartan = CartanMatrix(tuple(tuple(row) for row in entries), tuple(d))
     cartan.validate()
     coeff_list, weights, halfnorms = _close_positive_roots(cartan.entries, cartan.symmetrizer)
-    roots = tuple(Root(c) for c in coeff_list)
-    top_height = max(r.height for r in roots)
-    top = [r for r in roots if r.height == top_height]
-    assert len(top) == 1, f"{st}: highest root is not unique"
-    assert top[0] is roots[-1], f"{st}: highest root is not the last root"
+    roots = tuple(map(Root, coeff_list))
+    heights = list(map(sum, coeff_list))
+    top_height = max(heights)
+    assert heights.count(top_height) == 1, f"{st}: highest root is not unique"
+    assert heights[-1] == top_height, f"{st}: highest root is not the last root"
     expected = st.rank * COXETER_NUMBER[st.family](st.rank) // 2
     assert len(roots) == expected, f"{st}: found {len(roots)} positive roots, expected {expected}"
     rho = DominantWeight((1,) * st.rank)
-    rs = RootSystem(st, cartan, roots, top[0], rho, tuple(halfnorms), tuple(weights))
+    rs = RootSystem(st, cartan, roots, roots[-1], rho, tuple(halfnorms), tuple(weights))
     assert all(x >= 0 for x in rs.highest_root_weight.coords)
     return rs
 

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieapprox.dioph import (
+    ApproxSample,
     PlaceSpec,
     RationalProjectivePoint as Point,
+    _by_height_then_distance,
     alpha_estimate,
     best_sequence_on_line,
     boundedness_trend,
@@ -249,6 +251,27 @@ def test_alpha_estimate_tail_fraction_validation():
     with pytest.raises(BadArgs):
         alpha_estimate(seq, tail_fraction=0.05)  # a tail of one sample
     assert alpha_estimate(seq, tail_fraction=0.1).tail_count == 2
+
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 4),
+            st.fractions(min_value=0, max_value=1, max_denominator=3),
+        ),
+        max_size=30,
+    )
+)
+def test_sample_order_matches_the_height_minus_distance_key(pairs):
+    # Small heights and denominators force ties in both fields; the distinct
+    # points tell tied samples apart, so the check covers their order too.
+    samples = [
+        ApproxSample(Point((1, k)), h, Fraction(d), 0.0) for k, (h, d) in enumerate(pairs)
+    ]
+    expected = sorted(samples, key=lambda s: (s.height, -s.distance))
+    assert _by_height_then_distance(samples) == expected
 
 
 # -- the boundedness dichotomy ------------------------------------------------------

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from lieapprox.errors import InvalidRank, NotARoot
@@ -213,3 +215,118 @@ def test_fundamental_dims_match_weyl_dim():
     for rs in _oracle_systems():
         expected = tuple(weyl_dim(rs, rs.fundamental_weight(k)) for k in range(1, rs.rank + 1))
         assert rs.fundamental_dims == expected, rs.type
+
+
+# -- oracle: closure by alpha_i-strings, against the reflection closure ---------
+
+_ORACLE_KEY_RADIX = 8
+
+
+def _root_string_closure(entries, symmetrizer):
+    """All positive roots by root-string closure, with their weights and half-norms.
+
+    alpha + alpha_i is a root iff the alpha_i-string depth below alpha exceeds
+    <alpha, alpha_i^vee>; hn(alpha + alpha_i) = hn(alpha) + d_i (<alpha,
+    alpha_i^vee> + 1).  The depth probes run on a radix-8 key whose most
+    significant digit is c_1; a probe below zero borrows into a digit 7, which
+    no root has.  Same output order as the library: simple roots, then each
+    height in ascending lexicographic order.
+    """
+    rank = len(entries)
+    place = [_ORACLE_KEY_RADIX ** (rank - 1 - i) for i in range(rank)]
+    columns = [[(j, entries[j][i]) for j in range(rank) if entries[j][i]] for i in range(rank)]
+    known = {}
+    for i in range(rank):
+        coeffs = [0] * rank
+        coeffs[i] = 1
+        known[place[i]] = (coeffs, [row[i] for row in entries], symmetrizer[i])
+    current = list(known)
+    out = list(known.values())
+    while current:
+        nxt = []
+        for key in current:
+            coeffs, weight, halfnorm = known[key]
+            for i in range(rank):
+                step = place[i]
+                depth = 0
+                probe = key - step
+                while probe in known:
+                    depth += 1
+                    probe -= step
+                if depth > weight[i]:
+                    up = key + step
+                    if up not in known:
+                        up_coeffs = coeffs.copy()
+                        up_coeffs[i] += 1
+                        up_weight = weight.copy()
+                        for j, a_ji in columns[i]:
+                            up_weight[j] += a_ji
+                        known[up] = (up_coeffs, up_weight, halfnorm + symmetrizer[i] * (weight[i] + 1))
+                        nxt.append(up)
+        nxt.sort()
+        out.extend(known[key] for key in nxt)
+        current = nxt
+    return [tuple(c) for c, _, _ in out], [tuple(w) for _, w, _ in out], [hn for _, _, hn in out]
+
+
+@pytest.mark.parametrize(
+    "st",
+    supported_types(ORACLE_MAX_RANK) + [SimpleType(family, 40) for family in "ABCD"],
+    ids=str,
+)
+def test_reflection_closure_matches_root_string_closure(st):
+    rs = build_root_system(st)
+    coeffs, weights, halfnorms = _root_string_closure(rs.cartan.entries, rs.cartan.symmetrizer)
+    assert [r.coeffs for r in rs.positive_roots] == coeffs
+    assert list(rs.root_weights) == weights
+    assert list(rs.root_halfnorms) == halfnorms
+
+
+# -- sympy's Lie algebra tables ------------------------------------------------
+
+
+# sympy's A1 cartan_matrix raises IndexError, and sympy refuses C_n for n < 3
+# (C2 is B2 with its nodes swapped), so those two types are left out.
+_SYMPY_TYPES = [st for st in supported_types(ORACLE_MAX_RANK) if str(st) not in ("A1", "C2")]
+
+
+@pytest.mark.parametrize("st", _SYMPY_TYPES, ids=str)
+def test_cartan_matrix_and_root_count_match_sympy(st):
+    cartan_type = pytest.importorskip("sympy.liealgebras.cartan_type").CartanType
+    ct = cartan_type(str(st))
+    matrix = ct.cartan_matrix()
+    rs = build_root_system(st)
+    # sympy's entry (i, j) is <alpha_i, alpha_j^vee>, the transpose of ours
+    assert rs.cartan.entries == tuple(
+        tuple(int(matrix[j, i]) for j in range(st.rank)) for i in range(st.rank)
+    )
+    assert rs.num_positive_roots == len(ct.positive_roots())
+
+
+# -- classical closed forms beyond the rank-24 oracles -------------------------
+
+
+def _classical_fundamental_dims(family, n):
+    if family == "A":
+        return tuple(comb(n + 1, k) for k in range(1, n + 1))
+    if family == "B":
+        return tuple(comb(2 * n + 1, k) for k in range(1, n)) + (2**n,)
+    if family == "C":
+        return tuple(comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0) for k in range(1, n + 1))
+    return tuple(comb(2 * n, k) for k in range(1, n - 1)) + (2 ** (n - 1),) * 2
+
+
+def _classical_comarks(family, n):
+    if family in "AC":
+        return (1,) * n
+    if family == "B":
+        return (1,) + (2,) * (n - 2) + (1,)
+    return (1,) + (2,) * (n - 3) + (1, 1)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_classical_closed_forms_at_ranks_25_to_40(family):
+    for n in range(25, 41):
+        rs = build_root_system(SimpleType(family, n))
+        assert rs.fundamental_dims == _classical_fundamental_dims(family, n), rs.type
+        assert rs.comark_vector == _classical_comarks(family, n), rs.type
