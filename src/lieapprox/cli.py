@@ -33,6 +33,7 @@ from pathlib import Path
 from . import tables
 from .bounds import verify_nef
 from .dioph import (
+    PRIME_BOUND,
     PlaceSpec,
     RationalProjectivePoint,
     alpha_estimate,
@@ -318,8 +319,17 @@ def cmd_alpha(args) -> int:
         payload["trends"] = trends
         print(_json(payload), end="")
     else:
+        # str() refuses integers longer than the interpreter's digit limit
+        # (none before Python 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        shown = samples[-3:]
+        biggest = max(max(s.height, s.distance.numerator, s.distance.denominator) for s in shown)
+        if limit and biggest >= 10**limit:
+            raise BadArgs(
+                f"the samples have integers of more than {limit} digits; lower --count or use --format json"
+            )
         print(f"target {target} at place {place}, {args.count} points on a line, m = {args.m}")
-        for s in samples[-3:]:
+        for s in shown:
             print(f"  {s.point}  H = {s.height}  dist = {s.distance}  ratio = {s.ratio:.6f}")
         print(
             f"alpha estimate {estimate.estimate:.6f} "
@@ -388,16 +398,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="verdicts for an arbitrary nef divisor")
     p_bound.add_argument("--type", required=True, help="simple or product type, e.g. E8 or A1xA1")
-    p_bound.add_argument("--divisor", required=True, help="comma-separated nef coordinates")
+    p_bound.add_argument(
+        "--divisor", required=True,
+        help="comma-separated nef coordinates; a value that starts with - needs =, as in --divisor=-1,0",
+    )
     p_bound.add_argument("--format", choices=("text", "json"), default="text")
     p_bound.set_defaults(func=cmd_bound)
 
     p_alpha = sub.add_parser("alpha", help="estimate an approximation constant empirically")
-    p_alpha.add_argument("--point", "--P", dest="point", required=True, help="target, e.g. 1:0")
+    p_alpha.add_argument(
+        "--point", "--P", dest="point", required=True,
+        help="target, e.g. 1:0; a value that starts with - needs =, as in --P=-1:2",
+    )
     p_alpha.add_argument("--curve", default="line")
     p_alpha.add_argument("--count", type=int, default=1000)
     p_alpha.add_argument("--m", type=int, default=1)
-    p_alpha.add_argument("--place", default="inf", help="inf or a prime")
+    p_alpha.add_argument(
+        "--place", default="inf",
+        help=f"inf or a prime below {PRIME_BOUND}; a larger place exits 2, since no exact primality "
+        "test of this cost is known there",
+    )
     p_alpha.add_argument("--tail", type=float, default=0.5)
     p_alpha.add_argument("--gamma", type=_finite_float, action="append", help="also report the product trend at gamma")
     p_alpha.add_argument("--format", choices=("text", "json"), default="text")

@@ -39,16 +39,37 @@ from .errors import (
 )
 
 
+#: The first 13 primes.  Miller-Rabin on these bases is exact below
+#: PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+#: 2017); above it no test of this cost is proven.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Exact primality of p < PRIME_BOUND by deterministic Miller-Rabin, in
+    O(log p) multiplications per base; a larger p raises BadArgs."""
+    if p >= PRIME_BOUND:
+        raise BadArgs(f"{p} is too large: primes are decided exactly only below {PRIME_BOUND}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    # p - 1 = d * 2^s with d odd
+    s = ((p - 1) & -(p - 1)).bit_length() - 1
+    d = (p - 1) >> s
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

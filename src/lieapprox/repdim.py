@@ -1,12 +1,19 @@
 """Exact representation-theoretic dimension counts.
 
 The Weyl dimension formula is evaluated as two big-integer products and one
-exact division.  The dominant weights below a weight are found by descent
-along positive roots: by Stembridge ("The partial order of dominant
-weights", Adv. Math. 136, 1998), every dominant mu <= lam is reached from
-lam by subtracting one positive root at a time while staying dominant, so
-the walk is complete and its cost grows with the number of weights it
-returns.  No floating point anywhere.
+exact division.  Both read values cached on the root system: the numerator
+factors <lam+rho, alpha^vee> are the pairings <rho, alpha^vee> plus lam_k
+times column k of the coroot rows for each k in the support of lam, and the
+denominator is the product of the <rho, alpha^vee>.  The dominant weights
+below a weight are found by descent along positive roots: by Stembridge
+("The partial order of dominant weights", Adv. Math. 136, 1998), every
+dominant mu <= lam is reached from lam by subtracting one positive root at
+a time while staying dominant, so the walk is complete and its cost grows
+with the number of weights it returns.  The walk is pruned by support:
+eta - beta can be dominant only when every coordinate where the weight of
+beta is positive lies in the support of eta, so the roots are grouped once
+per root system by the mask of those coordinates, and a group is tried
+only when its mask lies inside the support.  No floating point anywhere.
 
 ``dominance_box`` bounds the simple-root coordinates of lam - eta (the
 inverse Cartan matrix of a finite type has non-negative entries); the
@@ -18,7 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import sub
+from itertools import compress
+from operator import add, sub
 from typing import Sequence
 
 from .errors import BadArgs, NonDominant
@@ -35,16 +43,17 @@ def _coords(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> tuple[int, .
 
 
 def weyl_dim(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> int:
-    """dim V_lam = prod <lam+rho, alpha^vee> / prod <rho, alpha^vee>, exact."""
+    """dim V_lam = prod <lam+rho, alpha^vee> / prod <rho, alpha^vee>, exact.
+
+    The numerator factors are <rho, alpha^vee> plus lam_k times column k of
+    the coroot rows, summed over the support of lam.
+    """
     coords = _coords(rs, lam)
-    support = [(k, c) for k, c in enumerate(coords) if c]
-    num = 1
-    den = 1
-    for row in rs.coroot_rows:
-        rho_pairing = sum(row)
-        num *= rho_pairing + sum(c * row[k] for k, c in support)
-        den *= rho_pairing
-    quotient, remainder = divmod(num, den)
+    factors = rs.rho_pairings
+    for c, column in zip(coords, rs.coroot_columns):
+        if c:
+            factors = map(add, factors, column if c == 1 else map(c.__mul__, column))
+    quotient, remainder = divmod(math.prod(factors), rs.weyl_denominator)
     if remainder:
         raise ArithmeticError(f"Weyl numerator not divisible for {rs.type}, lam={coords}")
     return quotient
@@ -93,21 +102,29 @@ def dominant_weights_below(rs: RootSystem, lam: DominantWeight | Sequence[int]) 
     """All dominant eta with lam - eta a non-negative sum of simple roots.
 
     Includes eta = lam itself.  Depth-first descent: from each weight
-    reached, subtract every positive root and keep the results that stay
-    dominant.  Output is in ascending lexicographic order on
+    reached, subtract the positive roots and keep the results that stay
+    dominant.  eta - w can be dominant only if every coordinate where the
+    root weight w is positive lies in the support of eta, so a group of
+    ``rs.root_weight_groups`` whose mask leaves that support is skipped
+    whole.  Output is in ascending lexicographic order on
     fundamental-weight coordinates, so it is deterministic.
     """
     coords = _coords(rs, lam)
-    roots = rs.root_weights
+    groups = rs.root_weight_groups
+    bits = [1 << k for k in range(rs.rank)]
     seen = {coords}
     stack = [coords]
     while stack:
         eta = stack.pop()
-        for w in roots:
-            mu = tuple(map(sub, eta, w))
-            if min(mu) >= 0 and mu not in seen:
-                seen.add(mu)
-                stack.append(mu)
+        outside = ~sum(compress(bits, eta))
+        for mask, weights in groups:
+            if mask & outside:
+                continue
+            for w in weights:
+                mu = tuple(map(sub, eta, w))
+                if min(mu) >= 0 and mu not in seen:
+                    seen.add(mu)
+                    stack.append(mu)
     return [DominantWeight(t) for t in sorted(seen)]
 
 

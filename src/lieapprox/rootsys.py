@@ -19,10 +19,12 @@ roots, their weights and their half-norms come out of one closure pass,
 which raises each root alpha by every simple reflection s_i with
 <alpha, alpha_i^vee> < 0; every positive root is reached so from the simple
 roots (Humphreys, Introduction to Lie Algebras and Representation Theory,
-10.2), and a reflection keeps the half-norm.  The coroot rows, comarks,
-fundamental dimensions and dim X are cached properties derived from the
-closure; the coroot rows and fundamental dimensions are computed column by
-column, one column per simple root.
+10.2), and a reflection keeps the half-norm.  The coroot rows and their
+columns, the pairings <rho, alpha^vee> and their product (the Weyl
+denominator), the root weights grouped by positive support, the comarks,
+the fundamental dimensions and dim X are cached properties derived from
+the closure; the coroot rows and fundamental dimensions are computed
+column by column, one column per simple root.
 Every rank is built on request: a ceiling on the ranks a sweep covers is
 the caller's policy (``supported_types`` takes it as an argument; the
 command line checks its own).
@@ -386,6 +388,32 @@ class RootSystem:
         return tuple(zip(*columns))
 
     @cached_property
+    def coroot_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column k of coroot_rows: <omega_k, alpha^vee> for every positive root."""
+        return tuple(zip(*self.coroot_rows))
+
+    @cached_property
+    def rho_pairings(self) -> tuple[int, ...]:
+        """<rho, alpha^vee>, the sum of the coroot row, for every positive root."""
+        return tuple(map(sum, self.coroot_rows))
+
+    @cached_property
+    def weyl_denominator(self) -> int:
+        """prod <rho, alpha^vee> over the positive roots, the denominator of
+        the Weyl dimension formula."""
+        return prod(self.rho_pairings)
+
+    @cached_property
+    def root_weight_groups(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """The root weights grouped by positive support, as (mask, weights)
+        pairs in ascending mask order: bit k of mask is set iff coordinate k
+        of each weight in the group is positive."""
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for w in self.root_weights:
+            groups.setdefault(sum(1 << k for k, c in enumerate(w) if c > 0), []).append(w)
+        return tuple((mask, tuple(ws)) for mask, ws in sorted(groups.items()))
+
+    @cached_property
     def comark_vector(self) -> tuple[int, ...]:
         # The highest root is the last positive root (see build_root_system).
         return self.coroot_rows[-1]
@@ -395,15 +423,16 @@ class RootSystem:
         """(dim V(omega_1), ..., dim V(omega_r)) by the Weyl dimension formula.
 
         dim V(omega_k) is the product over positive roots of
-        (h + row[k]) / h, with h = <rho, alpha^vee> = sum(row): one product
-        per column of coroot_rows over the common denominator prod(h).
+        (h + <omega_k, alpha^vee>) / h, with h = <rho, alpha^vee>: one
+        product per column of coroot_rows over weyl_denominator.
         """
-        rows = self.coroot_rows
-        heights = list(map(sum, rows))
-        den = prod(heights)
+        heights = self.rho_pairings
         dims = []
-        for k, column in enumerate(zip(*rows), start=1):
-            quotient, remainder = divmod(prod(map(add, heights, column)), den)
+        # Zipped here, not read from coroot_columns: callers that never
+        # evaluate a Weyl dimension (tables, verify in end mode) then hold
+        # no second copy of the coroot pairings.
+        for k, column in enumerate(zip(*self.coroot_rows), start=1):
+            quotient, remainder = divmod(prod(map(add, heights, column)), self.weyl_denominator)
             if remainder:
                 raise ArithmeticError(f"Weyl numerator not divisible for {self.type}, omega_{k}")
             dims.append(quotient)

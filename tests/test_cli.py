@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, main, verify_json
-from lieapprox.rootsys import SimpleType
+from lieapprox.rootsys import SimpleType, supported_types
 from lieapprox.tables import dims_table, verification_rows
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,10 +30,15 @@ def test_verify_matches_golden(mode, fmt, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"verify_exceptional_{mode}_{fmt}.golden").read_text()
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_verify_all_matches_golden(fmt, capsys):
-    assert main(["verify", "--types", "all", "--rank-max", "5", "--format", fmt]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"verify_all5_end_{fmt}.golden").read_text()
+@pytest.mark.parametrize("rank_max, mode, fmt", [
+    *(pytest.param(5, "end", fmt, id=fmt) for fmt in ("text", "csv", "json")),
+    # the 32 types the sections benchmark verifies, with their section counts
+    *(pytest.param(8, "h0", fmt, id=f"all8-h0-{fmt}") for fmt in ("text", "json")),
+])
+def test_verify_all_matches_golden(rank_max, mode, fmt, capsys):
+    argv = ["verify", "--types", "all", "--rank-max", str(rank_max), "--mode", mode, "--format", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"verify_all{rank_max}_{mode}_{fmt}.golden").read_text()
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
@@ -92,6 +97,14 @@ def test_verify_all_passes(capsys):
 def test_verify_full_sweep_exit_zero(capsys):
     assert main(["verify", "--types", "all", "--rank-max", "6"]) == 0
     capsys.readouterr()
+
+
+def test_verify_h0_sweep_to_rank_24_passes(capsys):
+    # every fundamental weight of all 96 types, each with its full h0 walk
+    assert main(["verify", "--types", "all", "--mode", "h0", "--rank-max", "24", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == sum(t.rank for t in supported_types(24))
+    assert all(r["pass"] for r in rows)
 
 
 def test_bound_pass_and_fail_exit_codes(capsys):
@@ -287,6 +300,41 @@ def test_alpha_rejects_a_gamma_whose_trend_overflows(fmt, capsys):
     assert captured.err.startswith("error: the trend at gamma 1e+308 has a non-finite slope")
 
 
+def test_alpha_at_a_large_prime_place(capsys):
+    assert main(["alpha", "--P", "1:2", "--place", str(2**61 - 1), "--count", "10"]) == 0
+    assert f"at place {2**61 - 1}" in capsys.readouterr().out
+    assert main(["alpha", "--P", "1:2", "--place", str(2**89 - 1)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {2**89 - 1} is too large")
+
+
+def test_alpha_text_refuses_integers_past_the_digit_limit(capsys):
+    # (2^61 - 1)^300 has about 5 500 digits, over the default limit of 4 300
+    argv = ["alpha", "--P", "1:2", "--place", str(2**61 - 1), "--count", "300"]
+    with mock.patch("sys.get_int_max_str_digits", return_value=4300):
+        assert main(argv) == 2
+    assert "digits; lower --count or use --format json" in capsys.readouterr().err
+    assert main(argv + ["--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("argv, value, code, reply", [
+    (["bound", "--type", "A2", "--divisor"], "-1,0", 2, "error: negative nef coordinate"),
+    (["alpha", "--count", "20", "--P"], "-1:2", 0, "target (1 : -2)"),
+])
+def test_values_starting_with_dash_need_equals(argv, value, code, reply, capsys):
+    # after a space argparse reads the value as an option, as the help says
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    flag = f"{argv[-1]}={value}"
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"as in {flag}" in " ".join(capsys.readouterr().out.split())
+    assert main(argv[:-1] + [flag]) == code
+    captured = capsys.readouterr()
+    assert reply in captured.out + captured.err
+
+
 def test_alpha_padic_place(capsys):
     assert main(["alpha", "--P", "1:0", "--place", "2", "--count", "40"]) == 0
     out = capsys.readouterr().out
@@ -366,7 +414,10 @@ def _alpha_argv(draw):
         "alpha",
         "--P", draw(_mostly(["1:0", "0:1", "1:2:3", "2:4", "3:-1:2"],
                             ["0:0", "a:b", "1", "1::0", "1:0:", ":1:0"])),
-        "--place", draw(_mostly(["inf", "2", "3", "5", "7"], ["4", "1", "0", "-3", "x"])),
+        "--place", draw(_mostly(
+            ["inf", "2", "3", "5", "7", str(2**61 - 1), "1000000000000000000000007"],
+            ["4", "1", "0", "-3", "x", "3215031751", "3825123056546413051", str(2**89 - 1)],
+        )),
         "--count", str(draw(st.integers(-5, 200))),
         "--m", str(draw(_mostly([1, 2, 3], [0, -1]))),
         "--tail", draw(_mostly(["0.5", "1", "0.25"], ["0.01", "0", "1.5", "nan"])),

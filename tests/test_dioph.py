@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieapprox.dioph import (
+    PRIME_BOUND,
     ApproxSample,
     PlaceSpec,
     RationalProjectivePoint as Point,
     _by_height_then_distance,
+    _is_prime,
     alpha_estimate,
     best_sequence_on_line,
     boundedness_trend,
@@ -61,6 +63,34 @@ def test_place_validation():
     assert PlaceSpec.archimedean().is_archimedean
     with pytest.raises(BadArgs):
         PlaceSpec.at(6)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert all(_is_prime(n) == _trial_division_is_prime(n) for n in range(10**5))
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3_215_031_751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+    (3_825_123_056_546_413_051, False),  # strong pseudoprime to the bases 2 to 23
+    (2**31 - 1, True),
+    (2**61 - 1, True),
+    ((2**31 - 1) ** 2, False),
+    (3_317_044_064_679_887_385_961_813, True),  # the largest prime below the bound
+])
+def test_is_prime_on_large_numbers(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_places_at_or_above_the_prime_bound_are_refused():
+    # the bound itself is the least strong pseudoprime to the first 13 prime bases
+    for p in (PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(BadArgs, match="too large"):
+            PlaceSpec.at(p)
+    assert PlaceSpec.at(2**61 - 1).prime == 2**61 - 1
 
 
 def test_padic_absolute_value():

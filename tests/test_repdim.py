@@ -1,7 +1,10 @@
 from itertools import product
 from math import comb
+from operator import sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieapprox.errors import BadArgs, NonDominant
 from lieapprox.repdim import (
@@ -196,6 +199,103 @@ def test_dominance_box_is_exact_inverse_cartan_image():
     assert dominance_box(rs, (1, 1)) == (1, 1)
     assert dominance_box(rs, (0, 0)) == (0, 0)
     assert dominance_box(rs, (3, 0)) == (2, 1)
+
+
+# -- the unpruned descent and the row-by-row Weyl product as oracles ------------------
+
+
+def _unpruned_weights_below(rs, lam):
+    """The descent without support pruning: subtract every positive root
+    from every weight reached."""
+    lam = tuple(lam)
+    seen = {lam}
+    stack = [lam]
+    while stack:
+        eta = stack.pop()
+        for w in rs.root_weights:
+            mu = tuple(map(sub, eta, w))
+            if min(mu) >= 0 and mu not in seen:
+                seen.add(mu)
+                stack.append(mu)
+    return sorted(seen)
+
+
+def _rowwise_weyl_dim(rs, lam):
+    """Weyl's formula one coroot row at a time: prod <lam+rho, alpha^vee> /
+    prod <rho, alpha^vee>, each pairing summed from the row."""
+    num = den = 1
+    for row in rs.coroot_rows:
+        num *= sum(row) + sum(c * r for c, r in zip(lam, row))
+        den *= sum(row)
+    assert num % den == 0
+    return num // den
+
+
+def _check_against_oracles(rs, lam):
+    got = [w.coords for w in dominant_weights_below(rs, lam)]
+    assert got == _unpruned_weights_below(rs, lam), (str(rs.type), lam)
+    for eta in got:
+        assert weyl_dim(rs, eta) == _rowwise_weyl_dim(rs, eta), (str(rs.type), eta)
+
+
+def test_walk_and_weyl_match_oracles_on_fundamental_weights():
+    # rank 12 and the exceptional types E6-E8, F4 and G2
+    for st_ in supported_types(12):
+        rs = build_root_system(st_)
+        for i in range(1, rs.rank + 1):
+            _check_against_oracles(rs, rs.fundamental_weight(i).coords)
+
+
+_SMALL_TYPES = [st_ for st_ in supported_types(4) if st_.rank <= 4]
+
+
+def test_walk_and_weyl_match_oracles_at_rho():
+    for st_ in _SMALL_TYPES:
+        rs = build_root_system(st_)
+        _check_against_oracles(rs, rs.rho.coords)
+
+
+@st.composite
+def _small_weight(draw):
+    rs = build_root_system(draw(st.sampled_from(_SMALL_TYPES)))
+    return rs, tuple(draw(st.lists(st.integers(0, 3), min_size=rs.rank, max_size=rs.rank)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_weight())
+def test_walk_and_weyl_match_oracles_on_drawn_weights(case):
+    _check_against_oracles(*case)
+
+
+# -- diagram automorphisms ------------------------------------------------------------
+
+# Each automorphism as a permutation of the Bourbaki indices: the A_n
+# reversal, the D_n fork swap and the E6 flip (1 <-> 6, 3 <-> 5).
+_AUTOMORPHISMS = (
+    [(f"A{n}", tuple(reversed(range(n)))) for n in range(2, 9)]
+    + [(f"D{n}", tuple(range(n - 2)) + (n - 1, n - 2)) for n in range(4, 9)]
+    + [("E6", (5, 1, 4, 3, 2, 0))]
+)
+
+
+@st.composite
+def _automorphism_case(draw):
+    label, perm = draw(st.sampled_from(_AUTOMORPHISMS))
+    lam = draw(st.lists(st.integers(0, 3), min_size=len(perm), max_size=len(perm)))
+    return _rs(label), perm, tuple(lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_automorphism_case())
+def test_weyl_dim_invariant_under_diagram_automorphisms(case):
+    rs, perm, lam = case
+    assert weyl_dim(rs, tuple(lam[j] for j in perm)) == weyl_dim(rs, lam)
+
+
+def test_automorphisms_preserve_the_cartan_matrix():
+    for label, perm in _AUTOMORPHISMS:
+        a = _rs(label).cartan.entries
+        assert all(a[perm[i]][perm[j]] == a[i][j] for i in range(len(perm)) for j in range(len(perm)))
 
 
 # -- section counts ---------------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieapprox.errors import BadArgs, BadIndex, InvalidRank, NotNef
 from lieapprox.rootsys import SimpleType, supported_types
@@ -104,3 +106,37 @@ def test_h0_product_multiplies():
     assert h0_product(t, D) == 16  # 4 x 4, sections of O(1) on each P^3
     assert h0_product(t, NefDivisor.from_flat(t, [0, 0])) == 1
     assert h0_product(t, NefDivisor.from_flat(t, [1, 0])) == 4
+
+
+# -- products split into their factors ---------------------------------------------
+
+_FACTORS = [SimpleType.parse(label) for label in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")]
+
+
+@st.composite
+def _split_product(draw):
+    """Two semisimple types and a nef divisor on each."""
+    halves = []
+    for _ in range(2):
+        factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=2))
+        t = SemisimpleType(tuple(factors))
+        flat = draw(st.lists(st.integers(0, 2), min_size=t.total_rank, max_size=t.total_rank))
+        halves.append((t, NefDivisor.from_flat(t, flat)))
+    return halves
+
+
+@settings(max_examples=100, deadline=None)
+@given(_split_product())
+def test_h0_product_multiplicative_over_factors(halves):
+    (t1, d1), (t2, d2) = halves
+    t = SemisimpleType(t1.factors + t2.factors)
+    D = NefDivisor.from_flat(t, d1.flat() + d2.flat())
+    assert h0_product(t, D) == h0_product(t1, d1) * h0_product(t2, d2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(supported_types(8)), min_size=1, max_size=3),
+       st.lists(st.sampled_from(supported_types(8)), min_size=1, max_size=3))
+def test_dim_x_additive_over_drawn_factors(left, right):
+    t1, t2 = SemisimpleType(tuple(left)), SemisimpleType(tuple(right))
+    assert dim_X(SemisimpleType(t1.factors + t2.factors)) == dim_X(t1) + dim_X(t2)
