@@ -13,11 +13,30 @@ symmetric and zero exactly on equal points; with sup-norm denominators it
 is bounded by 2 at the archimedean place (ultrametrically by 1 at finite
 places).  Any bounded-factor change of distance leaves approximation
 constants unchanged, so results do not depend on this normalization.
+``distance`` evaluates it on integers for any two points: the cross terms
+are computed once, and one Fraction is built from them.  At a finite place
+p the denominator is 1, because points are kept primitive, so each has a
+coordinate that p does not divide; the distance is then
+p^-(min v_p of the nonzero cross terms).
 
-It is evaluated on integers: the cross terms are computed once, and one
-Fraction is built from them.  At a finite place p the denominator is 1,
-because points are kept primitive, so each has a coordinate that p does
-not divide; the distance is then p^-(min v_p of the nonzero cross terms).
+The sequences of ``best_sequence_on_line`` lie on the line through the
+target P (primitive, first nonzero entry positive) and a basis vector e_j,
+where P_k != 0 for some k != j.  Their distances have closed forms:
+- at the archimedean place the i-th point is i*P + e_j.  Its cross terms
+  against P are +-P_k for k != j, and the gcd g_i of the representative
+  cancels from numerator and denominator, so
+      dist_i = max_{k!=j} |P_k| / (max |i*P + e_j| * max |P|);
+- at a prime p the i-th point is P + p^i e_j, with cross terms p^i P_k for
+  k != j.  p does not divide g_i: otherwise it divides P_k for every
+  k != j and P_j = (P_j + p^i) - p^i, so all of P, which is primitive.  So
+      dist_i = p^-(i + v),  v = v_p(gcd_{k!=j} P_k).
+Each representative, divided once by its gcd (which is positive), is
+primitive, and its first nonzero entry is already positive.  With f the
+index of P's first nonzero entry P_f > 0, the representative vanishes
+before min(j, f) and its entry there is i*P_f (+1 if j = f) at inf and
+P_f (+p^i if j = f) at p when f <= j, or 1 or p^i when j < f.  So the
+points are built without re-validation.  ``distance`` and ``make_sample``
+remain the general forms and serve the tests as the oracle for these.
 
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
@@ -27,6 +46,7 @@ over a configurable tail, together with the tail extremes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -103,7 +123,10 @@ class RationalProjectivePoint:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        raw = tuple(int(c) for c in self.coords)
+        try:
+            raw = tuple(map(operator.index, self.coords))
+        except TypeError:
+            raise BadArgs(f"projective coordinates must be integers, got {self.coords!r}") from None
         if len(raw) < 2:
             raise BadArgs("a projective point needs at least two coordinates")
         if not any(raw):
@@ -113,6 +136,14 @@ class RationalProjectivePoint:
         if first < 0:
             g = -g
         object.__setattr__(self, "coords", tuple(c // g for c in raw))
+
+    @classmethod
+    def _trusted(cls, coords: tuple[int, ...]) -> "RationalProjectivePoint":
+        """A point from coordinates already primitive with first nonzero
+        entry positive, skipping the validation of the constructor."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
 
     @classmethod
     def parse(cls, text: str) -> "RationalProjectivePoint":
@@ -219,6 +250,15 @@ def _flog(q: Fraction | int) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def _sample(point: RationalProjectivePoint, h: int, dist: Fraction) -> ApproxSample:
+    neg_log_dist = -_flog(dist)
+    if neg_log_dist == 0.0:
+        ratio = math.inf if h > 1 else math.nan
+    else:
+        ratio = _flog(h) / neg_log_dist
+    return ApproxSample(point, h, dist, ratio)
+
+
 def make_sample(
     point: RationalProjectivePoint,
     target: RationalProjectivePoint,
@@ -228,13 +268,7 @@ def make_sample(
     dist = distance(point, target, place)
     if dist == 0:
         raise BadArgs("sample point coincides with the target")
-    h = height(point, m)
-    neg_log_dist = -_flog(dist)
-    if neg_log_dist == 0.0:
-        ratio = math.inf if h > 1 else math.nan
-    else:
-        ratio = _flog(h) / neg_log_dist
-    return ApproxSample(point, h, dist, ratio)
+    return _sample(point, height(point, m), dist)
 
 
 def best_sequence_on_line(
@@ -243,27 +277,56 @@ def best_sequence_on_line(
     count: int,
     m: int = 1,
 ) -> list[ApproxSample]:
-    """Deterministic approximating sequence on a line through the target.
+    """Deterministic approximating sequence on a line through the target P.
 
-    Uses the first standard basis vector independent of the target as the
-    direction Q.  At the archimedean place the points are i*P + Q, with
-    height growing like i and distance like 1/i; at a finite place p they
-    are P + p^i Q, with |.|_p-distance p^-i.
+    The direction is e_j for the first j with P_k != 0 for some k != j, so
+    e_j is independent of P.  At the archimedean place the points are
+    i*P + e_j, with height growing like i^m and distance like 1/i; at a
+    finite place p they are P + p^i e_j, with p-adic distance about p^-i.
+    Each sample equals make_sample of its point, computed in closed form
+    (see the module docstring): at inf
+        dist_i = max_{k!=j} |P_k| / (max |i*P + e_j| * max |P|),
+    since the gcd g_i of the representative cancels; at p
+        dist_i = p^-(i + v_p(gcd_{k!=j} P_k)),
+    since p does not divide g_i, P being primitive.  The representative
+    divided by g_i is primitive with its first nonzero entry positive, so
+    the points skip re-validation.
     """
     if count < 10:
         raise TooFewPoints(f"need at least 10 points, got {count}")
-    n = len(target.coords)
+    if m < 1:
+        raise BadArgs(f"height exponent must be positive, got {m}")
+    coords = target.coords
+    n = len(coords)
     # e_j is proportional to the target only when the target is supported on {j}.
-    j = next(j for j in range(n) if any(target.coords[k] for k in range(n) if k != j))
-    direction = tuple(1 if k == j else 0 for k in range(n))
+    j = next(j for j in range(n) if any(coords[k] for k in range(n) if k != j))
+    others = [c for k, c in enumerate(coords) if k != j]
+    trusted = RationalProjectivePoint._trusted
     samples = []
-    for i in range(1, count + 1):
-        if place.is_archimedean:
-            rep = tuple(i * p + q for p, q in zip(target.coords, direction))
-        else:
-            step = place.prime**i
-            rep = tuple(p + step * q for p, q in zip(target.coords, direction))
-        samples.append(make_sample(RationalProjectivePoint(rep), target, place, m))
+    p = place.prime
+    if p is None:
+        cross = max(map(abs, others))
+        size = max(map(abs, coords))
+        for i in range(1, count + 1):
+            rep = [i * c for c in coords]
+            rep[j] += 1
+            g = math.gcd(*rep)
+            top = max(map(abs, rep))
+            if g != 1:
+                rep = [c // g for c in rep]
+            point = trusted(tuple(rep))
+            samples.append(_sample(point, (top // g) ** m, Fraction(cross, top * size)))
+    else:
+        rep = list(coords)
+        step = 1
+        scale = p ** _valuation(math.gcd(*others), p)
+        for _ in range(count):
+            step *= p
+            rep[j] = coords[j] + step
+            g = math.gcd(*rep)
+            top = max(map(abs, rep))
+            point = trusted(tuple(rep) if g == 1 else tuple(c // g for c in rep))
+            samples.append(_sample(point, (top // g) ** m, Fraction(1, step * scale)))
     return samples
 
 

@@ -281,7 +281,13 @@ def test_alpha_trend_flags(capsys):
 _ALPHA_GOLDENS = [
     (f"alpha_P2_{place}", ["--P", "3:-2:5", "--place", place, "--count", "300", "--gamma", "1.0"])
     for place in ("inf", "2", "3", "7")
-] + [("alpha_P3_5", ["--P", "0:2:-3:7", "--place", "5", "--count", "200"])]
+] + [
+    ("alpha_P3_5", ["--P", "0:2:-3:7", "--place", "5", "--count", "200"]),
+    # m = 2, and every odd i gives a representative with gcd 2
+    ("alpha_P1_inf_m2", ["--P", "3:-2", "--place", "inf", "--count", "60", "--m", "2", "--gamma", "1.5"]),
+    # the 3-adic distances are 3^-(i + 1): v_3(gcd(9, 3)) = 1
+    ("alpha_P2_3_offset", ["--P", "1:9:3", "--place", "3", "--count", "40"]),
+]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -290,6 +296,15 @@ def test_alpha_matches_golden(name, args, fmt, capsys):
     # text prints the exact distances (1/p^i at a prime), json full-precision floats
     assert main(["alpha", *args, "--format", fmt]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}_{fmt}.golden").read_text()
+
+
+@pytest.mark.parametrize("place", ["inf", "3"])
+@pytest.mark.parametrize("m", [["--m", "0"], ["--m=-1"]])
+def test_alpha_refuses_a_nonpositive_exponent(m, place, capsys):
+    assert main(["alpha", "--P", "3:-2", "--place", place, "--count", "20", *m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: height exponent must be positive")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieapprox.dioph import (
@@ -46,6 +47,12 @@ def test_point_rejects_degenerate_input():
         Point((3,))
     with pytest.raises(BadArgs):
         Point.parse("x:y")
+
+
+@pytest.mark.parametrize("coords", [(1.5, 2), ("3", "6"), (2.0, 4), (Fraction(1, 2), 1), 7])
+def test_point_rejects_coordinates_that_are_not_integers(coords):
+    with pytest.raises(BadArgs, match="must be integers"):
+        Point(coords)
 
 
 @pytest.mark.parametrize("text", ["1::0", "1:0:", ":1:0", "1, ,0", ""])
@@ -224,6 +231,66 @@ def test_distance_invariant_under_scaling(coords, scale, prime):
 def test_make_sample_rejects_target_itself():
     with pytest.raises(BadArgs):
         make_sample(P10, P10, INF)
+
+
+def test_best_sequence_on_line_refuses_a_nonpositive_exponent():
+    for m in (0, -1):
+        with pytest.raises(BadArgs, match="height exponent must be positive"):
+            best_sequence_on_line(P10, INF, 20, m=m)
+        with pytest.raises(BadArgs, match="height exponent must be positive"):
+            best_sequence_on_line(Point((1, 2, 3)), PlaceSpec.at(3), 20, m=m)
+
+
+def _line_representatives(target, place, count):
+    """The representatives i*P + e_j (inf) or P + p^i e_j (prime p), not yet
+    divided by their gcd, for the first e_j independent of P."""
+    coords = target.coords
+    n = len(coords)
+    j = next(j for j in range(n) if any(c for k, c in enumerate(coords) if k != j))
+    for i in range(1, count + 1):
+        if place.is_archimedean:
+            yield tuple(i * c + (k == j) for k, c in enumerate(coords))
+        else:
+            yield tuple(c + place.prime**i * (k == j) for k, c in enumerate(coords))
+
+
+@st.composite
+def _line_target(draw):
+    """A target in P^1 to P^3, often with zero coordinates, and often with
+    every coordinate but one sharing a factor, so that representatives on
+    the line have a gcd above 1 (and at a prime the offset v_p is positive)."""
+    n = draw(st.integers(2, 4))
+    coords = draw(st.lists(st.sampled_from([0]) | st.integers(-30, 30), min_size=n, max_size=n))
+    factor = draw(st.sampled_from([1, 2, 3, 6, 9]))
+    kept = draw(st.integers(0, n - 1))
+    coords = [c if k == kept else factor * c for k, c in enumerate(coords)]
+    if not any(coords):
+        coords[kept] = 1
+    return Point(tuple(coords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _line_target(),
+    st.sampled_from([None, 2, 3, 5, 7, 11]),
+    st.integers(10, 40),
+    st.integers(1, 3),
+)
+@example(Point((3, -2)), None, 60, 2)  # every odd i has gcd 2: (89 : -59) at i = 29
+@example(Point((1, 2, 4)), 3, 20, 1)  # 1 + 3^i is even, so every representative has gcd 2
+@example(Point((1, 9, 3)), 3, 20, 1)  # offset v_3(gcd(9, 3)) = 1
+@example(Point((1, 0)), None, 10, 1)  # i = 1 gives H = 1 and dist = 1: the ratio is NaN
+def test_line_samples_match_make_sample(target, prime, count, m):
+    place = PlaceSpec(prime)
+    samples = best_sequence_on_line(target, place, count, m)
+    reps = list(_line_representatives(target, place, count))
+    assert len(samples) == len(reps) == count
+    for sample, rep in zip(samples, reps):
+        expected = make_sample(Point(rep), target, place, m)
+        assert sample.point == expected.point
+        assert sample.height == expected.height
+        assert sample.distance == expected.distance
+        assert sample.ratio == expected.ratio or math.isnan(sample.ratio) and math.isnan(expected.ratio)
 
 
 def test_alpha_estimate_closed_form_line():
