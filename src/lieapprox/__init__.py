@@ -47,12 +47,9 @@ from .repdim import (
 from .rootsys import (
     CartanMatrix,
     DominantWeight,
-    Root,
     RootSystem,
     SimpleType,
     build_root_system,
-    comarks,
-    coroot_pairing,
     supported_types,
 )
 from .wonderful import (

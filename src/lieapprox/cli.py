@@ -297,8 +297,6 @@ def cmd_alpha(args) -> int:
             place = PlaceSpec.at(int(args.place))
         except ValueError:
             raise BadArgs(f"place must be inf or a prime, got {args.place!r}") from None
-    if args.curve != "line":
-        raise BadArgs(f"unsupported curve {args.curve!r}")
     samples = best_sequence_on_line(target, place, args.count, m=args.m)
     estimate = alpha_estimate(samples, tail_fraction=args.tail)
     payload = {
@@ -410,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--point", "--P", dest="point", required=True,
         help="target, e.g. 1:0; a value that starts with - needs =, as in --P=-1:2",
     )
-    p_alpha.add_argument("--curve", default="line")
     p_alpha.add_argument("--count", type=int, default=1000)
     p_alpha.add_argument("--m", type=int, default=1)
     p_alpha.add_argument(

@@ -352,6 +352,20 @@ def _by_height_then_distance(samples: Sequence[ApproxSample]) -> list[ApproxSamp
     return ordered
 
 
+def _tail_start(count: int, tail_fraction: float) -> int:
+    """Index of the first of ``count`` samples in the tail, which holds the
+    last ``tail_fraction`` of them and must hold at least 2."""
+    if not 0 < tail_fraction <= 1:
+        raise BadArgs(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    start = math.floor(count * (1 - tail_fraction))
+    if count - start < 2:
+        raise BadArgs(
+            f"tail_fraction {tail_fraction} leaves {count - start} of "
+            f"{count} samples in the tail, need at least 2"
+        )
+    return start
+
+
 def alpha_estimate(
     samples: Sequence[ApproxSample], tail_fraction: float = 0.5
 ) -> AlphaEstimate:
@@ -364,14 +378,7 @@ def alpha_estimate(
     """
     if len(samples) < 10:
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
-    if not 0 < tail_fraction <= 1:
-        raise BadArgs(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    start = math.floor(len(samples) * (1 - tail_fraction))
-    if len(samples) - start < 2:
-        raise BadArgs(
-            f"tail_fraction {tail_fraction} leaves {len(samples) - start} of "
-            f"{len(samples)} samples in the tail, need at least 2"
-        )
+    start = _tail_start(len(samples), tail_fraction)
     ordered = _by_height_then_distance(samples)
     seen = set()
     for s in ordered:
@@ -421,8 +428,8 @@ def boundedness_trend(
     """
     if len(samples) < 10:
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
+    start = _tail_start(len(samples), tail_fraction)
     ordered = sorted(samples, key=lambda s: s.height)
-    start = math.floor(len(ordered) * (1 - tail_fraction))
     xs, ys = [], []
     for s in ordered[start:]:
         x = _flog(s.height)

@@ -16,9 +16,10 @@ per root system by the mask of those coordinates, and a group is tried
 only when its mask lies inside the support.  No floating point anywhere.
 
 ``dominance_box`` bounds the simple-root coordinates of lam - eta (the
-inverse Cartan matrix of a finite type has non-negative entries); the
-engine no longer scans it, and it stays as public API and as the tests'
-independent oracle.
+inverse Cartan matrix of a finite type has non-negative entries).  The
+engine no longer scans it.  It stays, with ``dominance_box_size`` and
+``_solve_cartan``, as the tests' independent oracle and because the
+benchmark's tracer (``perfbench/tracer.py``) times ``dominance_box_size``.
 """
 
 from __future__ import annotations

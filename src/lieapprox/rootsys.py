@@ -1,4 +1,5 @@
-"""Finite root systems: Cartan data, positive roots, coroot pairings.
+"""Finite root systems: Cartan data, the closure of the positive roots, and
+the invariants the engine reads, each cached on the root system.
 
 Simple roots are numbered by the Bourbaki plates throughout: A-D chains run
 left to right with the short root (B), long root (C) or fork (D) at the end;
@@ -15,16 +16,23 @@ coroot pairing an integer.
 
 Each type is built once (``build_root_system`` caches it), and every
 invariant is computed once and cached on its ``RootSystem``.  The positive
-roots, their weights and their half-norms come out of one closure pass,
-which raises each root alpha by every simple reflection s_i with
-<alpha, alpha_i^vee> < 0; every positive root is reached so from the simple
-roots (Humphreys, Introduction to Lie Algebras and Representation Theory,
-10.2), and a reflection keeps the half-norm.  The coroot rows and their
-columns, the pairings <rho, alpha^vee> and their product (the Weyl
+roots (coefficient tuples), their weights and their half-norms come out of
+one closure pass, which raises each root alpha by every simple reflection
+s_i with <alpha, alpha_i^vee> < 0; every positive root is reached so from
+the simple roots (Humphreys, Introduction to Lie Algebras and Representation
+Theory, 10.2), and a reflection keeps the half-norm.  The coroot rows and
+their columns, the pairings <rho, alpha^vee> and their product (the Weyl
 denominator), the root weights grouped by positive support, the comarks,
 the fundamental dimensions and dim X are cached properties derived from
 the closure; the coroot rows and fundamental dimensions are computed
 column by column, one column per simple root.
+
+The Cartan data are hard-coded, so a build does not re-check them: the
+tests check them for every type up to rank 40, and check the closure's
+half-norms, weights and coroot rows against the quadratic form up to rank
+24.  A build only asserts what is cheap to check on its own output: the
+Coxeter count of positive roots and a unique highest root, placed last.
+
 Every rank is built on request: a ceiling on the ranks a sweep covers is
 the caller's policy (``supported_types`` takes it as an argument; the
 command line checks its own).
@@ -38,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, mod
 
 from .errors import BadIndex, InvalidRank, NonDominant, NotARoot
 
@@ -47,7 +55,7 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 _LOWEST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
-# Closed forms used as independent cross-checks by callers and tests.
+#: Coxeter number h, for the closed-form root count rank * h / 2.
 COXETER_NUMBER = {
     "A": lambda n: n + 1,
     "B": lambda n: 2 * n,
@@ -56,26 +64,6 @@ COXETER_NUMBER = {
     "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
     "F": lambda n: 12,
     "G": lambda n: 6,
-}
-DUAL_COXETER_NUMBER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n - 1,
-    "C": lambda n: n + 1,
-    "D": lambda n: 2 * n - 2,
-    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
-    "F": lambda n: 9,
-    "G": lambda n: 4,
-}
-#: Order of the weight lattice modulo the root lattice (= center of the
-#: simply connected form), which also equals det(Cartan matrix).
-CENTER_ORDER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2,
-    "C": lambda n: 2,
-    "D": lambda n: 4,
-    "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
-    "F": lambda n: 1,
-    "G": lambda n: 1,
 }
 
 
@@ -103,7 +91,8 @@ class SimpleType:
     @classmethod
     def parse(cls, label: str) -> "SimpleType":
         label = label.strip()
-        if len(label) < 2 or not label[1:].isdigit():
+        # isdigit alone accepts digits such as "²" that int() refuses
+        if len(label) < 2 or not (label[1:].isascii() and label[1:].isdigit()):
             raise InvalidRank(f"cannot parse simple type {label!r}")
         return cls(label[0].upper(), int(label[1:]))
 
@@ -118,65 +107,6 @@ class CartanMatrix:
     entries: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    def validate(self) -> None:
-        a, d = self.entries, self.symmetrizer
-        n = self.rank
-        if len(d) != n or any(len(row) != n for row in a):
-            raise InvalidRank("Cartan data with inconsistent dimensions")
-        for i in range(n):
-            if a[i][i] != 2:
-                raise InvalidRank(f"diagonal entry a[{i}][{i}] = {a[i][i]} != 2")
-            if d[i] not in (1, 2, 3):
-                raise InvalidRank(f"symmetrizer entry d[{i}] = {d[i]} not in 1..3")
-            for j in range(n):
-                if i != j and a[i][j] > 0:
-                    raise InvalidRank(f"positive off-diagonal entry a[{i}][{j}]")
-                if (a[i][j] == 0) != (a[j][i] == 0):
-                    raise InvalidRank(f"zero pattern not symmetric at ({i},{j})")
-                if d[i] * a[i][j] != d[j] * a[j][i]:
-                    raise InvalidRank(f"symmetrizer fails at ({i},{j})")
-        if self.determinant() <= 0:
-            raise InvalidRank("Cartan matrix is not positive definite")
-
-    def determinant(self) -> int:
-        """Exact determinant (equals the order of weight/root lattice quotient).
-
-        Fraction-free Bareiss elimination: every division is exact, so the
-        arithmetic stays in integers.
-        """
-        m = [list(row) for row in self.entries]
-        n = self.rank
-        sign, prev = 1, 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                sign = -sign
-            top = m[col]
-            for r in range(col + 1, n):
-                row = m[r]
-                factor = row[col]
-                m[r] = [(x * top[col] - factor * y) // prev for x, y in zip(row, top)]
-            prev = top[col]
-        return sign * prev
-
-
-@dataclass(frozen=True, order=True)
-class Root:
-    """A root as integer coordinates in the simple-root basis."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
 
 @dataclass(frozen=True, order=True)
 class DominantWeight:
@@ -187,10 +117,6 @@ class DominantWeight:
     def __post_init__(self):
         if any(c < 0 for c in self.coords):
             raise NonDominant(f"negative coordinate in {self.coords}")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -248,7 +174,7 @@ _KEY_RADIX = 8
 
 def _close_positive_roots(
     entries: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """All positive roots by simple reflections, with their weights and half-norms.
 
     A positive root alpha with w_i = <alpha, alpha_i^vee> < 0 is not alpha_i,
@@ -304,17 +230,23 @@ def _close_positive_roots(
         height += 1
         current = sorted(buckets.pop(height, ()))
         out.extend(map(known.__getitem__, current))
-    return [tuple(c) for c, _, _ in out], [tuple(w) for _, w, _ in out], [hn for _, _, hn in out]
+    return (
+        tuple(tuple(c) for c, _, _ in out),
+        tuple(tuple(w) for _, w, _ in out),
+        tuple(hn for _, _, hn in out),
+    )
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A finite root system with its Cartan data and distinguished elements."""
+    """A finite root system with its Cartan data and cached invariants."""
 
     type: SimpleType
     cartan: CartanMatrix
-    positive_roots: tuple[Root, ...]
-    highest_root: Root
+    #: Simple-root coordinates of every positive root: the simple roots
+    #: first, then each height in ascending lexicographic order, so the
+    #: highest root is the last.
+    positive_roots: tuple[tuple[int, ...], ...]
     rho: DominantWeight
     #: (alpha, alpha)/2 for every positive root, in positive_roots order.
     root_halfnorms: tuple[int, ...]
@@ -335,37 +267,6 @@ class RootSystem:
         """dim G = rank + 2|Phi+|, the dimension of the wonderful compactification."""
         return self.rank + 2 * self.num_positive_roots
 
-    @property
-    def coxeter_number(self) -> int:
-        return 2 * self.num_positive_roots // self.rank
-
-    @cached_property
-    def _root_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(r.coeffs for r in self.positive_roots)
-
-    def is_positive_root(self, alpha: Root) -> bool:
-        return alpha.coeffs in self._root_set
-
-    def root_halfnorm(self, alpha: Root) -> int:
-        """(alpha, alpha)/2 in the short-root-is-1 normalization."""
-        c = alpha.coeffs
-        a, d = self.cartan.entries, self.cartan.symmetrizer
-        support = [i for i, c_i in enumerate(c) if c_i]
-        norm2 = sum(c[i] * c[j] * d[i] * a[i][j] for i in support for j in support)
-        assert norm2 > 0 and norm2 % 2 == 0
-        return norm2 // 2
-
-    def coroot_row(self, alpha: Root) -> tuple[int, ...]:
-        """The vector (<omega_1, alpha^vee>, ..., <omega_r, alpha^vee>).
-
-        <omega_j, alpha^vee> = c_j d_j / hn(alpha), which must be integral.
-        """
-        d_alpha = self.root_halfnorm(alpha)
-        nums = tuple(map(mul, alpha.coeffs, self.cartan.symmetrizer))
-        if any(num % d_alpha for num in nums):
-            raise NotARoot(f"{alpha.coeffs} has a non-integral coroot pairing")
-        return tuple(num // d_alpha for num in nums)
-
     @cached_property
     def coroot_rows(self) -> tuple[tuple[int, ...], ...]:
         """Coroot pairing rows for every positive root, in positive_roots order.
@@ -374,10 +275,10 @@ class RootSystem:
         root.  In a simply-laced type d and every half-norm are 1, so the rows
         are the coefficient tuples themselves.
         """
-        coeffs = [alpha.coeffs for alpha in self.positive_roots]
+        coeffs = self.positive_roots
         halfnorms = self.root_halfnorms
         if all(d_j == 1 for d_j in self.cartan.symmetrizer):
-            return tuple(coeffs)
+            return coeffs
         columns = []
         for d_j, column in zip(self.cartan.symmetrizer, zip(*coeffs)):
             nums = [c * d_j for c in column]
@@ -438,12 +339,6 @@ class RootSystem:
             dims.append(quotient)
         return tuple(dims)
 
-    def weight_coords(self, alpha: Root) -> tuple[int, ...]:
-        """Fundamental-weight coordinates of a root (the product A c)."""
-        a = self.cartan.entries
-        c = alpha.coeffs
-        return tuple(sum(a[j][i] * c[i] for i in range(self.rank)) for j in range(self.rank))
-
     @cached_property
     def highest_root_weight(self) -> DominantWeight:
         # The highest root is the last positive root (see build_root_system).
@@ -460,38 +355,20 @@ class RootSystem:
 def build_root_system(st: SimpleType) -> RootSystem:
     """The root system of a simple type of any rank (Bourbaki numbering).
 
-    Built once per type and cached; checks the Cartan data, the number of
-    positive roots against the Coxeter closed form and that the highest
-    root is unique and last.
+    Built once per type and cached; checks the number of positive roots
+    against the Coxeter closed form and that the highest root is unique and
+    last.
     """
     entries, d = _cartan_data(st)
     cartan = CartanMatrix(tuple(tuple(row) for row in entries), tuple(d))
-    cartan.validate()
-    coeff_list, weights, halfnorms = _close_positive_roots(cartan.entries, cartan.symmetrizer)
-    roots = tuple(map(Root, coeff_list))
-    heights = list(map(sum, coeff_list))
+    roots, weights, halfnorms = _close_positive_roots(cartan.entries, cartan.symmetrizer)
+    heights = list(map(sum, roots))
     top_height = max(heights)
     assert heights.count(top_height) == 1, f"{st}: highest root is not unique"
     assert heights[-1] == top_height, f"{st}: highest root is not the last root"
     expected = st.rank * COXETER_NUMBER[st.family](st.rank) // 2
     assert len(roots) == expected, f"{st}: found {len(roots)} positive roots, expected {expected}"
-    rho = DominantWeight((1,) * st.rank)
-    rs = RootSystem(st, cartan, roots, roots[-1], rho, tuple(halfnorms), tuple(weights))
-    assert all(x >= 0 for x in rs.highest_root_weight.coords)
-    return rs
-
-
-def coroot_pairing(rs: RootSystem, w: DominantWeight, alpha: Root) -> int:
-    """Exact integer pairing <w, alpha^vee> for a positive root alpha."""
-    if not rs.is_positive_root(alpha):
-        raise NotARoot(f"{alpha.coeffs} is not a positive root of {rs.type}")
-    row = rs.coroot_row(alpha)
-    return sum(c * r for c, r in zip(w.coords, row))
-
-
-def comarks(rs: RootSystem) -> tuple[int, ...]:
-    """(<omega_1, theta^vee>, ..., <omega_r, theta^vee>) in Bourbaki order."""
-    return rs.comark_vector
+    return RootSystem(st, cartan, roots, DominantWeight((1,) * st.rank), halfnorms, weights)
 
 
 def supported_types(max_rank: int) -> list[SimpleType]:

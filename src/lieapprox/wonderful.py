@@ -86,13 +86,9 @@ class NefDivisor:
 
 
 @lru_cache(maxsize=None)
-def _factor_systems(t: SemisimpleType) -> tuple[RootSystem, ...]:
-    return tuple(build_root_system(f) for f in t.factors)
-
-
 def root_systems(t: SemisimpleType) -> tuple[RootSystem, ...]:
     """Root systems of the simple factors, in order."""
-    return _factor_systems(t)
+    return tuple(build_root_system(f) for f in t.factors)
 
 
 def dim_X(t: SemisimpleType) -> int:

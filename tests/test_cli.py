@@ -195,6 +195,23 @@ def test_empty_selection_is_an_input_error(command, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--types", "A²"], ["tables", "dims", "--types", "B2,A²"], ["bound", "--type", "A²", "--divisor", "1"]],
+)
+def test_non_ascii_rank_digits_are_an_input_error(command, capsys):
+    # "²".isdigit() is true, but int("²") raises ValueError
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse simple type")
+
+
+def test_alpha_has_no_curve_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha", "--P", "1:0", "--curve", "line"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --curve line" in capsys.readouterr().err
+
+
 def test_repeated_type_is_selected_once(capsys):
     assert main(["verify", "--types", "E8,E8"]) == 0
     assert capsys.readouterr().out.endswith("\n8/8 colours verified\n")
@@ -380,7 +397,7 @@ _selector = st.one_of(
     st.sampled_from(["all", "exceptional", "E8,E8", ",", ""]),
     st.lists(
         _mostly(["A1", "A3", "A8", "B2", "B5", "C3", "C8", "D4", "D6", "G2", "F4", "E6", "E7", "E8"],
-                ["A0", "D3", "E9", "Q2", "x", " "]),
+                ["A0", "D3", "E9", "Q2", "x", " ", "A²"]),
         min_size=1, max_size=4,
     ).map(",".join),
 )
@@ -411,10 +428,10 @@ def _tables_argv(draw):
 @st.composite
 def _bound_argv(draw):
     factors = draw(st.lists(
-        _mostly(["A1", "A2", "A4", "B2", "B4", "C3", "D4", "G2", "F4"], ["A0", "Q2", ""]),
+        _mostly(["A1", "A2", "A4", "B2", "B4", "C3", "D4", "G2", "F4"], ["A0", "Q2", "", "A²"]),
         min_size=1, max_size=3,
     ))
-    needed = sum(int(f[1:]) for f in factors if f[1:].isdigit())
+    needed = sum(int(f[1:]) for f in factors if f[1:].isascii() and f[1:].isdigit())
     length = draw(st.one_of(st.just(needed), st.just(needed), st.integers(0, 6)))
     coords = [draw(_mostly(["0", "1", "2", "3"], ["-1"])) for _ in range(length)]
     if draw(st.integers(0, 9)) == 0:

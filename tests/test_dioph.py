@@ -350,6 +350,22 @@ def test_alpha_estimate_tail_fraction_validation():
     assert alpha_estimate(seq, tail_fraction=0.1).tail_count == 2
 
 
+_ESTIMATORS = {
+    "alpha_estimate": lambda seq, tail: alpha_estimate(seq, tail_fraction=tail),
+    "boundedness_trend": lambda seq, tail: boundedness_trend(seq, 1.0, tail_fraction=tail),
+}
+
+
+@pytest.mark.parametrize("name", _ESTIMATORS)
+@pytest.mark.parametrize("tail", [0.0, 1.5, math.nan, 0.05], ids=["0", "1.5", "nan", "one-sample"])
+def test_tail_fraction_is_validated_by_both_estimators(name, tail):
+    # 0 used to divide by zero in the trend, and 1.5 to fit the last half
+    seq = best_sequence_on_line(Point((1, 2)), INF, 20)
+    with pytest.raises(BadArgs):
+        _ESTIMATORS[name](seq, tail)
+    _ESTIMATORS[name](seq, 0.1)  # a tail of two samples is enough
+
+
 
 @settings(max_examples=300)
 @given(

@@ -1,19 +1,16 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
 
+import oracles
 from lieapprox.errors import InvalidRank, NotARoot
 from lieapprox.repdim import weyl_dim
 from lieapprox.rootsys import (
-    CENTER_ORDER,
     COXETER_NUMBER,
-    DUAL_COXETER_NUMBER,
     DominantWeight,
-    Root,
     SimpleType,
     build_root_system,
-    comarks,
-    coroot_pairing,
     supported_types,
 )
 
@@ -30,14 +27,13 @@ def _rs(label):
 def test_a1_explicit():
     rs = _rs("A1")
     assert rs.cartan.entries == ((2,),)
-    assert [r.coeffs for r in rs.positive_roots] == [(1,)]
-    assert rs.highest_root.coeffs == (1,)
+    assert rs.positive_roots == ((1,),)
 
 
 def test_a2_explicit():
     rs = _rs("A2")
-    assert {r.coeffs for r in rs.positive_roots} == {(1, 0), (0, 1), (1, 1)}
-    assert rs.highest_root.coeffs == (1, 1)
+    assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
+    assert rs.positive_roots[-1] == (1, 1)
 
 
 @pytest.mark.parametrize("label,count", [("E6", 36), ("E7", 63), ("E8", 120), ("F4", 24), ("G2", 6)])
@@ -50,26 +46,55 @@ def test_counts_match_coxeter_closed_forms():
         rs = build_root_system(st)
         h = COXETER_NUMBER[st.family](st.rank)
         assert rs.num_positive_roots == st.rank * h // 2
-        assert rs.coxeter_number == h
         # 2|Phi+| + rank = rank (h + 1)
         assert 2 * rs.num_positive_roots + st.rank == st.rank * (h + 1)
         assert rs.dim_X == st.rank * (h + 1)
 
 
+# -- the hard-coded Cartan data, every type up to rank 40 ----------------------
+
+CARTAN_MAX_RANK = 40
+
+
+def test_cartan_data_is_of_finite_type():
+    for st in supported_types(CARTAN_MAX_RANK):
+        cartan = build_root_system(st).cartan
+        assert oracles.cartan_problems(cartan.entries, cartan.symmetrizer) == [], st
+
+
 def test_cartan_determinants():
-    for st in supported_types(12):
-        rs = build_root_system(st)
-        assert rs.cartan.determinant() == CENTER_ORDER[st.family](st.rank), st
+    for st in supported_types(CARTAN_MAX_RANK):
+        minors = oracles.leading_minors(build_root_system(st).cartan.entries)
+        assert len(minors) == st.rank, st
+        assert minors[-1] == oracles.CENTER_ORDER[st.family](st.rank), st
+
+
+@pytest.mark.parametrize(
+    "entries,symmetrizer,problem",
+    [
+        (((2, -1), (-1, 2)), (1,), "inconsistent dimensions"),
+        (((2, -1), (-1, 3)), (1, 1), "diagonal entry a[1][1] = 3"),
+        (((2, -1), (-1, 2)), (1, 4), "symmetrizer entry d[1] = 4"),
+        (((2, 1), (1, 2)), (1, 1), "positive off-diagonal entry a[0][1]"),
+        (((2, -1), (0, 2)), (1, 1), "zero pattern not symmetric at (0,1)"),
+        (((2, -2), (-1, 2)), (1, 1), "symmetrizer fails at (0,1)"),
+        (((2, -2), (-2, 2)), (1, 1), "not positive definite"),
+        # the affine A2: leading minors 2, 3, 0
+        (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1), "not positive definite"),
+    ],
+)
+def test_cartan_checks_reject_bad_data(entries, symmetrizer, problem):
+    assert any(p.startswith(problem) for p in oracles.cartan_problems(entries, symmetrizer))
 
 
 def test_highest_root_is_dominant_and_unique_maximum():
-    for st in supported_types(6):
+    for st in supported_types(CARTAN_MAX_RANK):
         rs = build_root_system(st)
         assert all(c >= 0 for c in rs.highest_root_weight.coords)
-        top = rs.highest_root.coeffs
+        top = rs.positive_roots[-1]
         for alpha in rs.positive_roots:
             # theta - alpha is a non-negative vector: theta dominates every root
-            assert all(t >= a for t, a in zip(top, alpha.coeffs)), (st, alpha)
+            assert all(t >= a for t, a in zip(top, alpha)), (st, alpha)
 
 
 # -- brute-force oracle: closure under all simple reflections -----------------
@@ -102,7 +127,7 @@ def _reflection_closure(rs):
 @pytest.mark.parametrize("label", SMALL)
 def test_positive_roots_match_reflection_closure(label):
     rs = _rs(label)
-    a_set = {r.coeffs for r in rs.positive_roots}
+    a_set = set(rs.positive_roots)
     expected = a_set | {tuple(-x for x in c) for c in a_set}
     assert _reflection_closure(rs) == expected
 
@@ -112,43 +137,48 @@ def test_positive_roots_match_reflection_closure(label):
 
 @pytest.mark.parametrize("label", SMALL + ["E6", "E7", "E8"])
 def test_fundamental_weight_coroot_duality(label):
+    # <omega_i, alpha_j^vee> = delta_ij: the simple roots come first, so the
+    # first rank coroot rows are the identity
     rs = _rs(label)
-    simple_roots = [Root(tuple(1 if j == i else 0 for j in range(rs.rank))) for i in range(rs.rank)]
-    for i in range(1, rs.rank + 1):
-        omega = rs.fundamental_weight(i)
-        for j, alpha in enumerate(simple_roots, start=1):
-            assert coroot_pairing(rs, omega, alpha) == (1 if i == j else 0)
+    identity = tuple(tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank))
+    assert rs.coroot_rows[: rs.rank] == identity
 
 
 def test_comarks_sum_to_dual_coxeter_number():
     for st in supported_types(12):
         rs = build_root_system(st)
-        assert 1 + sum(comarks(rs)) == DUAL_COXETER_NUMBER[st.family](st.rank), st
+        assert 1 + sum(rs.comark_vector) == oracles.DUAL_COXETER_NUMBER[st.family](st.rank), st
 
 
 def test_rho_pairs_with_highest_coroot():
     # <rho, theta^vee> = dual Coxeter number - 1; 29 for E8
     for label, expected in [("E8", 29), ("F4", 8), ("G2", 3), ("A5", 5), ("B4", 6)]:
-        rs = _rs(label)
-        assert coroot_pairing(rs, rs.rho, rs.highest_root) == expected
+        assert _rs(label).rho_pairings[-1] == expected
 
 
 def test_known_comark_vectors():
-    assert comarks(_rs("A5")) == (1, 1, 1, 1, 1)
-    assert comarks(_rs("F4")) == (2, 3, 2, 1)
-    assert comarks(_rs("E8")) == (2, 3, 4, 6, 5, 4, 3, 2)
-    assert comarks(_rs("B4")) == (1, 2, 2, 1)
-    assert comarks(_rs("C4")) == (1, 1, 1, 1)
-    assert comarks(_rs("D5")) == (1, 2, 2, 1, 1)
-    assert comarks(_rs("G2")) == (1, 2)
+    assert _rs("A5").comark_vector == (1, 1, 1, 1, 1)
+    assert _rs("F4").comark_vector == (2, 3, 2, 1)
+    assert _rs("E8").comark_vector == (2, 3, 4, 6, 5, 4, 3, 2)
+    assert _rs("B4").comark_vector == (1, 2, 2, 1)
+    assert _rs("C4").comark_vector == (1, 1, 1, 1)
+    assert _rs("D5").comark_vector == (1, 2, 2, 1, 1)
+    assert _rs("G2").comark_vector == (1, 2)
 
 
-def test_coroot_pairing_rejects_non_roots():
-    rs = _rs("A2")
-    with pytest.raises(NotARoot):
-        coroot_pairing(rs, rs.rho, Root((2, 0)))
-    with pytest.raises(NotARoot):
-        coroot_pairing(rs, rs.rho, Root((-1, 0)))
+def test_coroot_rows_reject_a_non_integral_pairing():
+    # (2, 1) is not a root of B2: half-norm 5, and c_1 d_1 = 4 is not a multiple
+    rs = _rs("B2")
+    bogus = replace(
+        rs,
+        positive_roots=rs.positive_roots + ((2, 1),),
+        root_halfnorms=rs.root_halfnorms + (5,),
+        root_weights=rs.root_weights + ((3, -2),),
+    )
+    with pytest.raises(NotARoot, match=r"\(2, 1\)"):
+        bogus.coroot_rows
+    with pytest.raises(ValueError):
+        oracles.coroot_row(rs.cartan.entries, rs.cartan.symmetrizer, (2, 1))
 
 
 # -- type validation -----------------------------------------------------------
@@ -184,31 +214,33 @@ def _oracle_systems():
 
 def test_roots_come_simple_first_then_by_height_and_lexicographically():
     for rs in _oracle_systems():
-        coeffs = [r.coeffs for r in rs.positive_roots]
+        coeffs = list(rs.positive_roots)
         simple = [tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)]
         assert coeffs[: rs.rank] == simple, rs.type
         rest = coeffs[rs.rank :]
         assert rest == sorted(rest, key=lambda c: (sum(c), c)), rs.type
         assert len(set(coeffs)) == len(coeffs), rs.type
-        assert rs.highest_root == rs.positive_roots[-1]
 
 
 def test_closure_halfnorms_match_quadratic_form():
     for rs in _oracle_systems():
+        a, d = rs.cartan.entries, rs.cartan.symmetrizer
         assert len(rs.root_halfnorms) == rs.num_positive_roots
         for alpha, hn in zip(rs.positive_roots, rs.root_halfnorms):
-            assert hn == rs.root_halfnorm(alpha), (rs.type, alpha)
+            assert hn == oracles.root_halfnorm(a, d, alpha), (rs.type, alpha)
 
 
 def test_closure_root_weights_match_cartan_product():
     for rs in _oracle_systems():
-        assert rs.root_weights == tuple(map(rs.weight_coords, rs.positive_roots)), rs.type
+        a = rs.cartan.entries
+        assert rs.root_weights == tuple(oracles.weight_coords(a, c) for c in rs.positive_roots), rs.type
 
 
 def test_coroot_rows_match_pairing_formula():
     for rs in _oracle_systems():
-        assert rs.coroot_rows == tuple(rs.coroot_row(alpha) for alpha in rs.positive_roots), rs.type
-        assert rs.comark_vector == rs.coroot_row(rs.highest_root), rs.type
+        a, d = rs.cartan.entries, rs.cartan.symmetrizer
+        assert rs.coroot_rows == tuple(oracles.coroot_row(a, d, c) for c in rs.positive_roots), rs.type
+        assert rs.comark_vector == oracles.coroot_row(a, d, rs.positive_roots[-1]), rs.type
 
 
 def test_fundamental_dims_match_weyl_dim():
@@ -277,7 +309,7 @@ def _root_string_closure(entries, symmetrizer):
 def test_reflection_closure_matches_root_string_closure(st):
     rs = build_root_system(st)
     coeffs, weights, halfnorms = _root_string_closure(rs.cartan.entries, rs.cartan.symmetrizer)
-    assert [r.coeffs for r in rs.positive_roots] == coeffs
+    assert list(rs.positive_roots) == coeffs
     assert list(rs.root_weights) == weights
     assert list(rs.root_halfnorms) == halfnorms
 
