@@ -22,8 +22,8 @@ skipped for cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import repdim
 from .errors import BadArgs, BadIndex
@@ -78,10 +78,7 @@ def liouville_bound(n: int, h0: int) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one curve-versus-dense comparison, all witnesses kept exact."""
-
+class _VerdictFields(NamedTuple):
     curve_constant: int
     dense_lower_bound: int
     required_count: int
@@ -89,9 +86,21 @@ class Verdict:
     passed: bool
     full_conjecture: bool
 
-    def __post_init__(self):
+
+class Verdict(_VerdictFields):
+    """Outcome of one curve-versus-dense comparison, all witnesses kept exact."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "Verdict":
+        self = super().__new__(cls, *fields, **named)
         if self.passed != (self.dense_lower_bound >= self.curve_constant):
             raise BadArgs("inconsistent verdict: passed flag contradicts the bounds")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "Verdict":
+        return cls(*fields)
 
     def to_dict(self) -> dict:
         """JSON-safe record; big integers as decimal strings."""
@@ -159,8 +168,7 @@ def full_conjecture_check(t: SimpleType) -> bool:
     return all(m == 1 for m in rs.comark_vector)
 
 
-@dataclass(frozen=True)
-class NefReport:
+class NefReport(NamedTuple):
     """Structural and direct verdicts for an arbitrary nef divisor class."""
 
     type_label: str

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadArgs,
@@ -116,17 +115,20 @@ def _valuation(x: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class RationalProjectivePoint:
-    """Primitive integer coordinates, first nonzero entry positive."""
-
+class _PointFields(NamedTuple):
     coords: tuple[int, ...]
 
-    def __post_init__(self):
+
+class RationalProjectivePoint(_PointFields):
+    """Primitive integer coordinates, first nonzero entry positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords: Sequence[int]) -> "RationalProjectivePoint":
         try:
-            raw = tuple(map(operator.index, self.coords))
+            raw = tuple(map(operator.index, coords))
         except TypeError:
-            raise BadArgs(f"projective coordinates must be integers, got {self.coords!r}") from None
+            raise BadArgs(f"projective coordinates must be integers, got {coords!r}") from None
         if len(raw) < 2:
             raise BadArgs("a projective point needs at least two coordinates")
         if not any(raw):
@@ -135,15 +137,17 @@ class RationalProjectivePoint:
         first = next(c for c in raw if c)
         if first < 0:
             g = -g
-        object.__setattr__(self, "coords", tuple(c // g for c in raw))
+        return super().__new__(cls, tuple(c // g for c in raw))
+
+    @classmethod
+    def _make(cls, fields) -> "RationalProjectivePoint":
+        return cls(*fields)
 
     @classmethod
     def _trusted(cls, coords: tuple[int, ...]) -> "RationalProjectivePoint":
         """A point from coordinates already primitive with first nonzero
         entry positive, skipping the validation of the constructor."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "coords", coords)
-        return point
+        return tuple.__new__(cls, (coords,))
 
     @classmethod
     def parse(cls, text: str) -> "RationalProjectivePoint":
@@ -163,15 +167,23 @@ class RationalProjectivePoint:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class PlaceSpec:
-    """A place of the rationals: archimedean (prime None) or a prime p."""
-
+class _PlaceSpecFields(NamedTuple):
     prime: int | None = None
 
-    def __post_init__(self):
-        if self.prime is not None and not _is_prime(self.prime):
-            raise BadArgs(f"{self.prime} is not prime")
+
+class PlaceSpec(_PlaceSpecFields):
+    """A place of the rationals: archimedean (prime None) or a prime p."""
+
+    __slots__ = ()
+
+    def __new__(cls, prime: int | None = None) -> "PlaceSpec":
+        if prime is not None and not _is_prime(prime):
+            raise BadArgs(f"{prime} is not prime")
+        return super().__new__(cls, prime)
+
+    @classmethod
+    def _make(cls, fields) -> "PlaceSpec":
+        return cls(*fields)
 
     @classmethod
     def archimedean(cls) -> "PlaceSpec":
@@ -233,8 +245,7 @@ def distance(
     return Fraction(1, p ** _valuation(math.gcd(*cross), p))
 
 
-@dataclass(frozen=True)
-class ApproxSample:
+class ApproxSample(NamedTuple):
     """One approximation to a target: the point, its height, its distance to
     the target, and the ratio log(height)/(-log(distance))."""
 
@@ -330,8 +341,7 @@ def best_sequence_on_line(
     return samples
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
+class AlphaEstimate(NamedTuple):
     """Tail estimate of an approximation constant from finite data."""
 
     estimate: float
@@ -405,8 +415,7 @@ def alpha_estimate(
     )
 
 
-@dataclass(frozen=True)
-class Trend:
+class Trend(NamedTuple):
     """Log-log slope of dist^gamma * H along a sequence, with its reading."""
 
     gamma: float

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import add, sub
+from operator import add, index, sub
 from typing import Sequence
 
 from .errors import BadArgs, NonDominant
@@ -35,7 +35,13 @@ from .rootsys import DominantWeight, RootSystem
 
 
 def _coords(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> tuple[int, ...]:
-    coords = tuple(lam.coords) if isinstance(lam, DominantWeight) else tuple(int(c) for c in lam)
+    if isinstance(lam, DominantWeight):
+        coords = tuple(lam.coords)
+    else:
+        try:
+            coords = tuple(map(index, lam))
+        except TypeError:
+            raise BadArgs(f"weight coordinates must be integers, got {lam!r}") from None
     if len(coords) != rs.rank:
         raise BadArgs(f"weight has {len(coords)} coordinates, {rs.type} has rank {rs.rank}")
     if any(c < 0 for c in coords):

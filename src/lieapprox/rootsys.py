@@ -38,15 +38,18 @@ the caller's policy (``supported_types`` takes it as an argument; the
 command line checks its own).
 
 All values are immutable after construction and safe to share across
-concurrent workers.
+concurrent workers.  The value types are named tuples: a type that
+validates its fields subclasses a private field tuple and checks them in
+``__new__``, and ``_replace`` builds through ``__new__``, so it validates
+too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
 from operator import add, floordiv, mod
+from typing import NamedTuple
 
 from .errors import BadIndex, InvalidRank, NonDominant, NotARoot
 
@@ -67,15 +70,17 @@ COXETER_NUMBER = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """A simple Lie type: family letter A-G plus rank."""
-
+class _SimpleTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        family, rank = self.family, self.rank
+
+class SimpleType(_SimpleTypeFields):
+    """A simple Lie type: family letter A-G plus rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> "SimpleType":
         if family in _EXCEPTIONAL_RANKS:
             if rank not in _EXCEPTIONAL_RANKS[family]:
                 raise InvalidRank(f"{family}{rank} is not a simple type")
@@ -87,6 +92,11 @@ class SimpleType:
                 )
         else:
             raise InvalidRank(f"unknown family {family!r}")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, fields) -> "SimpleType":
+        return cls(*fields)
 
     @classmethod
     def parse(cls, label: str) -> "SimpleType":
@@ -100,23 +110,30 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(NamedTuple):
     """Integer Cartan matrix with its symmetrizer, a[i][j] = <alpha_j, alpha_i^vee>."""
 
     entries: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class DominantWeight:
-    """Non-negative integer coordinates in the fundamental-weight basis."""
-
+class _DominantWeightFields(NamedTuple):
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.coords):
-            raise NonDominant(f"negative coordinate in {self.coords}")
+
+class DominantWeight(_DominantWeightFields):
+    """Non-negative integer coordinates in the fundamental-weight basis."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords: tuple[int, ...]) -> "DominantWeight":
+        if any(c < 0 for c in coords):
+            raise NonDominant(f"negative coordinate in {coords}")
+        return super().__new__(cls, coords)
+
+    @classmethod
+    def _make(cls, fields) -> "DominantWeight":
+        return cls(*fields)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -237,10 +254,7 @@ def _close_positive_roots(
     )
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A finite root system with its Cartan data and cached invariants."""
-
+class _RootSystemFields(NamedTuple):
     type: SimpleType
     cartan: CartanMatrix
     #: Simple-root coordinates of every positive root: the simple roots
@@ -253,6 +267,18 @@ class RootSystem:
     #: Fundamental-weight coordinates (A c) of every positive root, in
     #: positive_roots order.
     root_weights: tuple[tuple[int, ...], ...]
+
+
+class RootSystem(_RootSystemFields):
+    """A finite root system with its Cartan data and cached invariants.
+
+    Not slotted: each cached property keeps its value in the instance
+    ``__dict__``, which does not take part in equality or hashing.  Cached
+    properties write there directly, so refusing attribute assignment
+    keeps a root system immutable without disabling its cache."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a RootSystem is immutable")
 
     @property
     def rank(self) -> int:
@@ -338,11 +364,6 @@ class RootSystem:
                 raise ArithmeticError(f"Weyl numerator not divisible for {self.type}, omega_{k}")
             dims.append(quotient)
         return tuple(dims)
-
-    @cached_property
-    def highest_root_weight(self) -> DominantWeight:
-        # The highest root is the last positive root (see build_root_system).
-        return DominantWeight(self.root_weights[-1])
 
     def fundamental_weight(self, index: int) -> DominantWeight:
         """omega_index for a 1-based Bourbaki index."""

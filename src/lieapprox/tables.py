@@ -24,8 +24,8 @@ the command line serializes them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .bounds import table_binomial, verify_colour
 from .rootsys import SimpleType, build_root_system
@@ -157,8 +157,7 @@ def computed_dim_x(st: SimpleType) -> int:
     return build_root_system(st).dim_X
 
 
-@dataclass(frozen=True)
-class RowAudit:
+class RowAudit(NamedTuple):
     """Cell-by-cell comparison of a printed row against exact recomputation."""
 
     label: str
@@ -256,8 +255,7 @@ def header_formula_flags(st: SimpleType) -> list[str]:
 # report model: the two tables and the verification rows
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One type's row of a reference table, in two views.
 
     ``data`` is the row as a JSON object, big integers as decimal strings.
@@ -268,8 +266,7 @@ class TableRow:
     cells: tuple[str, str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """A reference table with its discrepancy appendix, ready for any format.
 
     ``fields`` heads the CSV columns, ``captions`` open the two text lines of
@@ -344,8 +341,7 @@ def dims_table(types) -> Table:
     )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One verification row: a colour of one simple type, with witnesses."""
 
     type_label: str

@@ -10,24 +10,31 @@ dimensions add and section counts multiply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import repdim
 from .errors import BadArgs, BadIndex, InvalidRank, NotNef
 from .rootsys import RootSystem, SimpleType, build_root_system
 
 
-@dataclass(frozen=True, order=True)
-class SemisimpleType:
-    """A product of simple types, one per factor."""
-
+class _SemisimpleTypeFields(NamedTuple):
     factors: tuple[SimpleType, ...]
 
-    def __post_init__(self):
-        if not self.factors:
+
+class SemisimpleType(_SemisimpleTypeFields):
+    """A product of simple types, one per factor."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors: tuple[SimpleType, ...]) -> "SemisimpleType":
+        if not factors:
             raise InvalidRank("a semisimple type needs at least one factor")
+        return super().__new__(cls, factors)
+
+    @classmethod
+    def _make(cls, fields) -> "SemisimpleType":
+        return cls(*fields)
 
     @classmethod
     def of(cls, *factors: SimpleType) -> "SemisimpleType":
@@ -49,16 +56,24 @@ class SemisimpleType:
         return "x".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
-class NefDivisor:
-    """Per-factor non-negative integer coordinates in the fundamental-weight basis."""
-
+class _NefDivisorFields(NamedTuple):
     coeffs: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for block in self.coeffs:
+
+class NefDivisor(_NefDivisorFields):
+    """Per-factor non-negative integer coordinates in the fundamental-weight basis."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple[tuple[int, ...], ...]) -> "NefDivisor":
+        for block in coeffs:
             if any(c < 0 for c in block):
                 raise NotNef(f"negative nef coordinate in {block}")
+        return super().__new__(cls, coeffs)
+
+    @classmethod
+    def _make(cls, fields) -> "NefDivisor":
+        return cls(*fields)
 
     @classmethod
     def from_flat(cls, t: SemisimpleType, flat: Sequence[int]) -> "NefDivisor":

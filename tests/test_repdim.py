@@ -15,7 +15,7 @@ from lieapprox.repdim import (
     h0_dim,
     weyl_dim,
 )
-from lieapprox.rootsys import SimpleType, build_root_system, supported_types
+from lieapprox.rootsys import DominantWeight, SimpleType, build_root_system, supported_types
 
 
 def _rs(label):
@@ -53,7 +53,7 @@ def test_adjoint_representation_matches_group_dimension():
     # the highest root, read as a dominant weight, generates the adjoint
     for st in supported_types(8):
         rs = build_root_system(st)
-        assert weyl_dim(rs, rs.highest_root_weight) == rs.rank + 2 * rs.num_positive_roots
+        assert weyl_dim(rs, DominantWeight(rs.root_weights[-1])) == rs.rank + 2 * rs.num_positive_roots
 
 
 def test_weyl_dim_divisibility_never_fires_on_fundamental_sweep():
@@ -80,6 +80,13 @@ def test_weyl_dim_rejects_negative_coordinates():
         weyl_dim(rs, (-1, 0))
     with pytest.raises(BadArgs):
         weyl_dim(rs, (1, 2, 3))
+
+
+@pytest.mark.parametrize("lam", [(1.5, 0), ("2", 0)])
+def test_weyl_dim_rejects_non_integer_coordinates(lam):
+    # int() would truncate 1.5 to 1 and parse "2"; each layer takes integers only
+    with pytest.raises(BadArgs, match="weight coordinates must be integers"):
+        weyl_dim(_rs("A2"), lam)
 
 
 def test_end_dim_squares():
