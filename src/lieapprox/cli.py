@@ -288,6 +288,13 @@ def cmd_bound(args) -> int:
 # alpha subcommand
 
 
+@lru_cache(maxsize=1)
+def _digit_bound(limit: int) -> int:
+    """10**limit, the least integer longer than ``limit`` digits; a
+    4 301-digit power, so it is computed once per limit."""
+    return 10**limit
+
+
 def cmd_alpha(args) -> int:
     target = RationalProjectivePoint.parse(args.point)
     if args.place == "inf":
@@ -322,7 +329,7 @@ def cmd_alpha(args) -> int:
         limit = getattr(sys, "get_int_max_str_digits", int)()
         shown = samples[-3:]
         biggest = max(max(s.height, s.distance.numerator, s.distance.denominator) for s in shown)
-        if limit and biggest >= 10**limit:
+        if limit and biggest >= _digit_bound(limit):
             raise BadArgs(
                 f"the samples have integers of more than {limit} digits; lower --count or use --format json"
             )

@@ -40,7 +40,13 @@ remain the general forms and serve the tests as the oracle for these.
 
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
-over a configurable tail, together with the tail extremes.
+over a configurable tail, together with the tail extremes.  It orders the
+samples by their integer heights and compares distances, which are
+Fractions, only between samples of equal height; it takes the least
+distance of each half by comparing the integer cross products
+numerator * denominator.  So on a line whose heights are all distinct, as
+they are for every target in P^1 or P^2 with coordinates of at most 3, it
+makes no Fraction comparison.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -261,13 +268,13 @@ def _flog(q: Fraction | int) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _sample(point: RationalProjectivePoint, h: int, dist: Fraction) -> ApproxSample:
-    neg_log_dist = -_flog(dist)
+def _ratio(h: int, num: int, den: int) -> float:
+    """log(h) / (-log(num/den)) for a reduced distance num/den: inf when the
+    distance is 1 and h > 1, NaN when both are 1."""
+    neg_log_dist = -(math.log(num) - math.log(den))
     if neg_log_dist == 0.0:
-        ratio = math.inf if h > 1 else math.nan
-    else:
-        ratio = _flog(h) / neg_log_dist
-    return ApproxSample(point, h, dist, ratio)
+        return math.inf if h > 1 else math.nan
+    return math.log(h) / neg_log_dist
 
 
 def make_sample(
@@ -279,7 +286,8 @@ def make_sample(
     dist = distance(point, target, place)
     if dist == 0:
         raise BadArgs("sample point coincides with the target")
-    return _sample(point, height(point, m), dist)
+    h = height(point, m)
+    return ApproxSample(point, h, dist, _ratio(h, *dist.as_integer_ratio()))
 
 
 def best_sequence_on_line(
@@ -313,6 +321,7 @@ def best_sequence_on_line(
     j = next(j for j in range(n) if any(coords[k] for k in range(n) if k != j))
     others = [c for k, c in enumerate(coords) if k != j]
     trusted = RationalProjectivePoint._trusted
+    new = tuple.__new__
     samples = []
     p = place.prime
     if p is None:
@@ -322,11 +331,15 @@ def best_sequence_on_line(
             rep = [i * c for c in coords]
             rep[j] += 1
             g = math.gcd(*rep)
-            top = max(map(abs, rep))
+            h = top = max(map(abs, rep))
             if g != 1:
                 rep = [c // g for c in rep]
-            point = trusted(tuple(rep))
-            samples.append(_sample(point, (top // g) ** m, Fraction(cross, top * size)))
+                h //= g
+            if m != 1:
+                h **= m
+            dist = Fraction(cross, top * size)
+            ratio = _ratio(h, *dist.as_integer_ratio())
+            samples.append(new(ApproxSample, (trusted(tuple(rep)), h, dist, ratio)))
     else:
         rep = list(coords)
         step = 1
@@ -335,9 +348,16 @@ def best_sequence_on_line(
             step *= p
             rep[j] = coords[j] + step
             g = math.gcd(*rep)
-            top = max(map(abs, rep))
-            point = trusted(tuple(rep) if g == 1 else tuple(c // g for c in rep))
-            samples.append(_sample(point, (top // g) ** m, Fraction(1, step * scale)))
+            h = max(map(abs, rep))
+            if g == 1:
+                point = trusted(tuple(rep))
+            else:
+                point = trusted(tuple(c // g for c in rep))
+                h //= g
+            if m != 1:
+                h **= m
+            den = step if scale == 1 else step * scale
+            samples.append(new(ApproxSample, (point, h, Fraction(1, den), _ratio(h, 1, den))))
     return samples
 
 
@@ -351,15 +371,41 @@ class AlphaEstimate(NamedTuple):
     tail_count: int
 
 
+_HEIGHT = operator.attrgetter("height")
+_DISTANCE = operator.attrgetter("distance")
+_RATIO = operator.attrgetter("ratio")
+_COORDS = operator.attrgetter("point.coords")
+_INTEGER_RATIO = operator.methodcaller("as_integer_ratio")
+
+
 def _by_height_then_distance(samples: Sequence[ApproxSample]) -> list[ApproxSample]:
     """Samples by ascending height, and at equal height by descending distance.
 
-    Two stable sorts give the order of the key (height, -distance), ties
-    included, without negating a Fraction per sample.
+    One stable sort on the integer height, then a stable sort by descending
+    distance of each run of equal heights: the order of the key
+    (height, -distance), ties included.  Distances, which are Fractions,
+    are compared only inside such runs, so a list whose heights are all
+    distinct makes no Fraction comparison.
     """
-    ordered = sorted(samples, key=lambda s: s.distance, reverse=True)
-    ordered.sort(key=lambda s: s.height)
-    return ordered
+    ordered = sorted(samples, key=_HEIGHT)
+    heights = list(map(_HEIGHT, ordered))
+    if not any(map(operator.eq, heights, heights[1:])):
+        return ordered
+    return [s for _, run in groupby(ordered, _HEIGHT) for s in sorted(run, key=_DISTANCE, reverse=True)]
+
+
+def _min_distance(samples: Sequence[ApproxSample]) -> tuple[int, int]:
+    """The least distance of the samples as a (numerator, denominator) pair.
+
+    Denominators are positive, so a/b < c/d exactly when a*d < c*b: the
+    integers are compared, never the Fractions.
+    """
+    pairs = map(_INTEGER_RATIO, map(_DISTANCE, samples))
+    num, den = next(pairs)
+    for n, d in pairs:
+        if n * den < num * d:
+            num, den = n, d
+    return num, den
 
 
 def _tail_start(count: int, tail_fraction: float) -> int:
@@ -390,17 +436,19 @@ def alpha_estimate(
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
     start = _tail_start(len(samples), tail_fraction)
     ordered = _by_height_then_distance(samples)
-    seen = set()
-    for s in ordered:
-        if s.point.coords in seen:
-            raise NotConverging(f"repeated point {s.point}")
-        seen.add(s.point.coords)
+    coords = list(map(_COORDS, ordered))
+    if len(set(coords)) < len(coords):
+        seen = set()
+        for s in ordered:
+            if s.point.coords in seen:
+                raise NotConverging(f"repeated point {s.point}")
+            seen.add(s.point.coords)
     half = len(ordered) // 2
-    head_min = min(s.distance for s in ordered[:half])
-    tail_min = min(s.distance for s in ordered[half:])
-    if tail_min >= head_min:
+    head_num, head_den = _min_distance(ordered[:half])
+    tail_num, tail_den = _min_distance(ordered[half:])
+    if tail_num * head_den >= head_num * tail_den:
         raise NotConverging("distances do not decrease along the sequence")
-    tail = [s.ratio for s in ordered[start:] if math.isfinite(s.ratio)]
+    tail = list(filter(math.isfinite, map(_RATIO, ordered[start:])))
     if not tail:
         raise NotConverging("no finite ratios in the tail")
     tail.sort()

@@ -42,9 +42,10 @@ class SemisimpleType(_SemisimpleTypeFields):
 
     @classmethod
     def parse(cls, label: str) -> "SemisimpleType":
-        """Parse labels like ``E8`` or ``A1xA1`` (separators: x, X, *)."""
-        parts = [p for p in re.split(r"[xX*]", label.strip()) if p]
-        if not parts:
+        """Parse labels like ``E8`` or ``A1xA1`` (separators: x, X, *); a
+        label with an empty factor, as in ``A1xxA2`` or ``xA1``, is refused."""
+        parts = re.split(r"[xX*]", label)
+        if not all(p.strip() for p in parts):
             raise InvalidRank(f"cannot parse semisimple type {label!r}")
         return cls(tuple(SimpleType.parse(p) for p in parts))
 

@@ -1,14 +1,23 @@
-"""Independent oracles for the root-system tests.
+"""Independent oracles for the root-system and lab tests.
 
-Nothing here imports ``lieapprox``.  Each oracle is a closed form in the
-rank, or a plain function of Cartan data and root coefficients: the entries
-a[i][j] = <alpha_j, alpha_i^vee>, the symmetrizer d with d[i] a[i][j] =
-d[j] a[j][i] and d = 1 on short roots, and a root's coordinates c in the
-simple-root basis.  A test that compares a cached field of a root system
-with one of these therefore does not compare the engine with itself.
+Nothing here imports ``lieapprox``.  Each root-system oracle is a closed
+form in the rank, or a plain function of Cartan data and root
+coefficients: the entries a[i][j] = <alpha_j, alpha_i^vee>, the
+symmetrizer d with d[i] a[i][j] = d[j] a[j][i] and d = 1 on short roots,
+and a root's coordinates c in the simple-root basis.  A test that compares
+a cached field of a root system with one of these therefore does not
+compare the engine with itself.
+
+``alpha_estimate`` is the lab's tail estimator in its plain form: two
+stable sorts, ``min`` over the Fraction distances and a seen-set loop.  It
+reads the samples' ``point``, ``height``, ``distance`` and ``ratio`` only,
+and raises ``EstimatorError`` carrying the name of the engine's exception
+class, so a test can compare classes by name and messages as text.
 """
 
 from __future__ import annotations
+
+import math
 
 #: Dual Coxeter number h^vee = 1 + the sum of the comarks.
 DUAL_COXETER_NUMBER = {
@@ -116,3 +125,46 @@ def coroot_row(entries, symmetrizer, coeffs) -> tuple[int, ...]:
     if any(num % halfnorm for num in nums):
         raise ValueError(f"{tuple(coeffs)} has a non-integral coroot pairing")
     return tuple(num // halfnorm for num in nums)
+
+
+class EstimatorError(Exception):
+    """An input the estimator refuses; ``kind`` names the engine's class."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def alpha_estimate(samples, tail_fraction: float = 0.5) -> tuple:
+    """(estimate, tail_min, tail_max, sample_count, tail_count): the median
+    of the finite ratios over the last ``tail_fraction`` of the samples
+    ordered by height, then by descending distance."""
+    if len(samples) < 10:
+        raise EstimatorError("TooFewPoints", f"need at least 10 samples, got {len(samples)}")
+    if not 0 < tail_fraction <= 1:
+        raise EstimatorError("BadArgs", f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    count = len(samples)
+    start = math.floor(count * (1 - tail_fraction))
+    if count - start < 2:
+        raise EstimatorError(
+            "BadArgs",
+            f"tail_fraction {tail_fraction} leaves {count - start} of {count} samples in the tail, need at least 2",
+        )
+    ordered = sorted(samples, key=lambda s: s.distance, reverse=True)
+    ordered.sort(key=lambda s: s.height)
+    seen = set()
+    for s in ordered:
+        if s.point.coords in seen:
+            raise EstimatorError("NotConverging", f"repeated point {s.point}")
+        seen.add(s.point.coords)
+    half = len(ordered) // 2
+    head_min = min(s.distance for s in ordered[:half])
+    tail_min = min(s.distance for s in ordered[half:])
+    if tail_min >= head_min:
+        raise EstimatorError("NotConverging", "distances do not decrease along the sequence")
+    tail = sorted(s.ratio for s in ordered[start:] if math.isfinite(s.ratio))
+    if not tail:
+        raise EstimatorError("NotConverging", "no finite ratios in the tail")
+    mid = len(tail) // 2
+    median = tail[mid] if len(tail) % 2 else (tail[mid - 1] + tail[mid]) / 2
+    return (median, tail[0], tail[-1], len(ordered), len(tail))

@@ -205,6 +205,16 @@ def test_non_ascii_rank_digits_are_an_input_error(command, capsys):
     assert capsys.readouterr().err.startswith("error: cannot parse simple type")
 
 
+@pytest.mark.parametrize(
+    "label, divisor", [("xA1", "1"), ("A1*", "1"), ("A1xxA2", "1,1,1"), ("A1xx", "1")]
+)
+def test_empty_type_factor_is_an_input_error(label, divisor, capsys):
+    assert main(["bound", "--type", label, "--divisor", divisor]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse semisimple type {label!r}\n"
+
+
 def test_alpha_has_no_curve_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["alpha", "--P", "1:0", "--curve", "line"])
@@ -304,6 +314,8 @@ _ALPHA_GOLDENS = [
     ("alpha_P1_inf_m2", ["--P", "3:-2", "--place", "inf", "--count", "60", "--m", "2", "--gamma", "1.5"]),
     # the 3-adic distances are 3^-(i + 1): v_3(gcd(9, 3)) = 1
     ("alpha_P2_3_offset", ["--P", "1:9:3", "--place", "3", "--count", "40"]),
+    # (2 : 1 : 4) and (4 : 1 : 4) both have height 4, at distances 1/2 and 1/4
+    ("alpha_P2_2_tied", ["--P", "0:1:4", "--place", "2", "--count", "40"]),
 ]
 
 

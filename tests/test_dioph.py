@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieapprox.dioph import (
     PRIME_BOUND,
+    AlphaEstimate,
     ApproxSample,
     PlaceSpec,
     RationalProjectivePoint as Point,
@@ -385,6 +387,77 @@ def test_sample_order_matches_the_height_minus_distance_key(pairs):
     ]
     expected = sorted(samples, key=lambda s: (s.height, -s.distance))
     assert _by_height_then_distance(samples) == expected
+
+
+#: The distances in (0, 1] with denominators up to 4.
+_SMALL_FRACTIONS = sorted({Fraction(k, d) for d in range(1, 5) for k in range(1, d + 1)})
+
+
+@st.composite
+def _drawn_samples(draw):
+    """Samples built directly.  Heights 1..6 and distances with denominators
+    up to 4 force ties in both fields, few point labels force repeats, and
+    the ratios include 0, inf and NaN, sometimes with no finite one."""
+    size = draw(st.integers(5, 40))
+    labels = draw(st.lists(st.integers(0, 2 * size), min_size=size, max_size=size, unique=draw(st.booleans())))
+    ratio = draw(st.sampled_from([
+        st.sampled_from([0.0, math.inf, math.nan]) | st.floats(0, 5),
+        st.sampled_from([math.inf, math.nan]),
+    ]))
+    fields = st.tuples(st.integers(1, 6), st.sampled_from(_SMALL_FRACTIONS), ratio)
+    rows = draw(st.lists(fields, min_size=size, max_size=size))
+    # distances that shrink with the height make many lists converge
+    shrink = draw(st.booleans())
+    return [
+        ApproxSample(Point((1, label)), h, d / h if shrink else d, r)
+        for label, (h, d, r) in zip(labels, rows)
+    ]
+
+
+@st.composite
+def _line_samples(draw):
+    """A real line at inf, 2, 3, 5 or 7, in a drawn order, sometimes with one
+    sample repeated."""
+    place = PlaceSpec(draw(st.sampled_from([None, 2, 3, 5, 7])))
+    samples = best_sequence_on_line(draw(_line_target()), place, draw(st.integers(10, 60)), draw(st.integers(1, 2)))
+    samples = draw(st.permutations(samples))
+    if draw(st.booleans()):
+        samples.append(draw(st.sampled_from(samples)))
+    return samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _drawn_samples() | _line_samples(),
+    st.sampled_from([1.0, 0.5, 0.25, 0.1]) | st.floats(0, 1, exclude_min=True),
+)
+@example(best_sequence_on_line(Point((0, 1, 4)), PlaceSpec(2), 40), 0.5)  # heights 4, 4: a tie
+@example(best_sequence_on_line(P10, INF, 10), 1.0)  # the first ratio is NaN
+def test_alpha_estimate_matches_the_fraction_oracle(samples, tail):
+    try:
+        expected = oracles.alpha_estimate(samples, tail)
+    except oracles.EstimatorError as exc:
+        with pytest.raises(Exception) as raised:
+            alpha_estimate(samples, tail)
+        assert (type(raised.value).__name__, str(raised.value)) == (exc.kind, str(exc))
+        return
+    got = alpha_estimate(samples, tail)
+    assert isinstance(got, AlphaEstimate)
+    assert tuple(got) == expected
+
+
+@pytest.mark.parametrize("prime", [None, 2])
+def test_alpha_estimate_makes_no_fraction_comparison_on_a_tie_free_line(prime, monkeypatch):
+    samples = best_sequence_on_line(Point((3, -2, 5)), PlaceSpec(prime), 300)[::-1]
+    assert len({s.height for s in samples}) == len(samples)
+    calls = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        compare = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, compare=compare: calls.append(a) or compare(a, b))
+    assert Fraction(1, 3) < Fraction(1, 2) and calls  # the patch counts
+    calls.clear()
+    alpha_estimate(samples)
+    assert calls == []
 
 
 # -- the boundedness dichotomy ------------------------------------------------------
