@@ -7,7 +7,6 @@ from .bounds import (
     Verdict,
     full_conjecture_check,
     liouville_bound,
-    monomial_count,
     table_binomial,
     verify_colour,
     verify_nef,

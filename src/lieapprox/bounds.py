@@ -39,13 +39,6 @@ from .wonderful import (
 )
 
 
-def monomial_count(n: int, e: int) -> int:
-    """Number of monomials of degree at most e in n variables: binom(n+e, n)."""
-    if n < 1 or e < 0:
-        raise BadArgs(f"monomial_count needs n >= 1 and e >= 0, got n={n}, e={e}")
-    return comb(n + e, n)
-
-
 def _vanishing_threshold(n: int, d: int) -> int:
     # Count that h^0 must strictly exceed to force vanishing order >= d.
     # comb(n - 1, n) = 0 at d = 0: order zero is always forced.
@@ -78,29 +71,19 @@ def liouville_bound(n: int, h0: int) -> int:
     return lo
 
 
-class _VerdictFields(NamedTuple):
+class Verdict(NamedTuple):
+    """Outcome of one curve-versus-dense comparison, all witnesses kept exact."""
+
     curve_constant: int
     dense_lower_bound: int
     required_count: int
     available_sections: int
-    passed: bool
     full_conjecture: bool
 
-
-class Verdict(_VerdictFields):
-    """Outcome of one curve-versus-dense comparison, all witnesses kept exact."""
-
-    __slots__ = ()
-
-    def __new__(cls, *fields, **named) -> "Verdict":
-        self = super().__new__(cls, *fields, **named)
-        if self.passed != (self.dense_lower_bound >= self.curve_constant):
-            raise BadArgs("inconsistent verdict: passed flag contradicts the bounds")
-        return self
-
-    @classmethod
-    def _make(cls, fields) -> "Verdict":
-        return cls(*fields)
+    @property
+    def passed(self) -> bool:
+        """The dense bound reaches the curve constant."""
+        return self.dense_lower_bound >= self.curve_constant
 
     def to_dict(self) -> dict:
         """JSON-safe record; big integers as decimal strings."""
@@ -121,7 +104,6 @@ def _make_verdict(n: int, curve_constant: int, available: int, full_conjecture: 
         dense_lower_bound=dense,
         required_count=_vanishing_threshold(n, curve_constant),
         available_sections=available,
-        passed=dense >= curve_constant,
         full_conjecture=full_conjecture,
     )
 
@@ -173,12 +155,20 @@ class NefReport(NamedTuple):
 
     type_label: str
     divisor: NefDivisor
-    trivial: bool
-    structural_passed: bool
     colour_verdicts: tuple[tuple[int, int, Verdict], ...]  # (factor, index, verdict)
     direct: Verdict
     selected_factor: int | None
     notes: tuple[str, ...]
+
+    @property
+    def trivial(self) -> bool:
+        """The divisor is zero, so it certifies nothing."""
+        return self.divisor.is_zero
+
+    @property
+    def structural_passed(self) -> bool:
+        """Every colour verdict passed."""
+        return all(v.passed for _, _, v in self.colour_verdicts)
 
     @property
     def passed(self) -> bool:
@@ -214,12 +204,10 @@ def verify_nef(t: SemisimpleType, D: NefDivisor) -> NefReport:
     _check_divisor(t, D)
 
     if D.is_zero:
-        verdict = Verdict(0, 0, 0, 1, True, all(map(full_conjecture_check, t.factors)))
+        verdict = Verdict(0, 0, 0, 1, all(map(full_conjecture_check, t.factors)))
         return NefReport(
             type_label=str(t),
             divisor=D,
-            trivial=True,
-            structural_passed=True,
             colour_verdicts=(),
             direct=verdict,
             selected_factor=None,
@@ -231,7 +219,6 @@ def verify_nef(t: SemisimpleType, D: NefDivisor) -> NefReport:
         for i, coeff in enumerate(block, start=1):
             if coeff > 0:
                 colour_verdicts.append((f_idx, i, verify_colour(t.factors[f_idx], i)))
-    structural_passed = all(v.passed for _, _, v in colour_verdicts)
 
     notes: list[str] = []
     supported = [f for f in range(len(t.factors)) if any(D.coeffs[f])]
@@ -246,8 +233,6 @@ def verify_nef(t: SemisimpleType, D: NefDivisor) -> NefReport:
     return NefReport(
         type_label=str(t),
         divisor=D,
-        trivial=False,
-        structural_passed=structural_passed,
         colour_verdicts=tuple(colour_verdicts),
         direct=_make_verdict(dim_X(t), curve_constant, h0_product(t, D), full_conjecture=all_ones),
         selected_factor=selected,

@@ -253,7 +253,7 @@ def cmd_bound(args) -> int:
     t = SemisimpleType.parse(args.type)
     _check_ceiling(t.factors, rank_ceiling())
     try:
-        flat = [int(c) for c in args.divisor.split(",") if c.strip() != ""]
+        flat = [int(c) for c in args.divisor.split(",")]
     except ValueError:
         raise BadArgs(f"divisor coordinates must be integers, got {args.divisor!r}") from None
     D = NefDivisor.from_flat(t, flat)

@@ -200,10 +200,6 @@ class PlaceSpec(_PlaceSpecFields):
     def at(cls, p: int) -> "PlaceSpec":
         return cls(p)
 
-    @property
-    def is_archimedean(self) -> bool:
-        return self.prime is None
-
     def abs(self, x: int) -> Fraction:
         """Exact absolute value |x|_v of an integer."""
         if x == 0:
@@ -463,6 +459,10 @@ def alpha_estimate(
     )
 
 
+#: A trend slope within this distance of 0 reads as indeterminate.
+TREND_THRESHOLD = 0.05
+
+
 class Trend(NamedTuple):
     """Log-log slope of dist^gamma * H along a sequence, with its reading."""
 
@@ -472,21 +472,20 @@ class Trend(NamedTuple):
 
 
 def boundedness_trend(
-    samples: Sequence[ApproxSample],
-    gamma: float,
-    tail_fraction: float = 0.5,
-    threshold: float = 0.05,
+    samples: Sequence[ApproxSample], gamma: float, tail_fraction: float = 0.5
 ) -> Trend:
     """Least-squares slope of log(dist^gamma * H) against log H over the tail.
 
-    A clearly negative slope means the product tends to zero (gamma is in
-    the bounded set); a clearly positive one means it is unbounded.  The
-    interval structure of the bounded set makes this monotone in gamma.
+    A slope below -TREND_THRESHOLD means the product tends to zero (gamma
+    is in the bounded set); one above TREND_THRESHOLD means it is
+    unbounded.  The interval structure of the bounded set makes this
+    monotone in gamma.  The samples are ordered as in ``alpha_estimate``,
+    so both read the same tail.
     """
     if len(samples) < 10:
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
     start = _tail_start(len(samples), tail_fraction)
-    ordered = sorted(samples, key=lambda s: s.height)
+    ordered = _by_height_then_distance(samples)
     xs, ys = [], []
     for s in ordered[start:]:
         x = _flog(s.height)
@@ -501,9 +500,9 @@ def boundedness_trend(
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / var
     if not math.isfinite(slope):
         raise BadArgs(f"the trend at gamma {gamma} has a non-finite slope ({slope})")
-    if slope < -threshold:
+    if slope < -TREND_THRESHOLD:
         verdict = "bounded"
-    elif slope > threshold:
+    elif slope > TREND_THRESHOLD:
         verdict = "unbounded"
     else:
         verdict = "indeterminate"

@@ -27,26 +27,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import add, index, sub
+from operator import add, sub
 from typing import Sequence
 
-from .errors import BadArgs, NonDominant
+from .errors import BadArgs
 from .rootsys import DominantWeight, RootSystem
 
 
 def _coords(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(lam, DominantWeight):
-        coords = tuple(lam.coords)
-    else:
-        try:
-            coords = tuple(map(index, lam))
-        except TypeError:
-            raise BadArgs(f"weight coordinates must be integers, got {lam!r}") from None
-    if len(coords) != rs.rank:
-        raise BadArgs(f"weight has {len(coords)} coordinates, {rs.type} has rank {rs.rank}")
-    if any(c < 0 for c in coords):
-        raise NonDominant(f"negative coordinate in {coords}")
-    return coords
+    """The coordinates of lam, checked as a ``DominantWeight`` of rank rs.rank."""
+    if not isinstance(lam, DominantWeight):
+        lam = DominantWeight(lam)
+    if len(lam.coords) != rs.rank:
+        raise BadArgs(f"weight has {len(lam.coords)} coordinates, {rs.type} has rank {rs.rank}")
+    return lam.coords
 
 
 def weyl_dim(rs: RootSystem, lam: DominantWeight | Sequence[int]) -> int:

@@ -48,10 +48,10 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import prod
-from operator import add, floordiv, mod
-from typing import NamedTuple
+from operator import add, floordiv, index, mod
+from typing import NamedTuple, Sequence
 
-from .errors import BadIndex, InvalidRank, NonDominant, NotARoot
+from .errors import BadArgs, BadIndex, InvalidRank, NonDominant, NotARoot
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -81,6 +81,10 @@ class SimpleType(_SimpleTypeFields):
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int) -> "SimpleType":
+        try:
+            rank = index(rank)
+        except TypeError:
+            raise InvalidRank(f"rank must be an integer, got {rank!r}") from None
         if family in _EXCEPTIONAL_RANKS:
             if rank not in _EXCEPTIONAL_RANKS[family]:
                 raise InvalidRank(f"{family}{rank} is not a simple type")
@@ -126,10 +130,14 @@ class DominantWeight(_DominantWeightFields):
 
     __slots__ = ()
 
-    def __new__(cls, coords: tuple[int, ...]) -> "DominantWeight":
-        if any(c < 0 for c in coords):
-            raise NonDominant(f"negative coordinate in {coords}")
-        return super().__new__(cls, coords)
+    def __new__(cls, coords: Sequence[int]) -> "DominantWeight":
+        try:
+            checked = tuple(map(index, coords))
+        except TypeError:
+            raise BadArgs(f"weight coordinates must be integers, got {coords!r}") from None
+        if checked and min(checked) < 0:
+            raise NonDominant(f"negative coordinate in {checked}")
+        return super().__new__(cls, checked)
 
     @classmethod
     def _make(cls, fields) -> "DominantWeight":
@@ -261,7 +269,6 @@ class _RootSystemFields(NamedTuple):
     #: first, then each height in ascending lexicographic order, so the
     #: highest root is the last.
     positive_roots: tuple[tuple[int, ...], ...]
-    rho: DominantWeight
     #: (alpha, alpha)/2 for every positive root, in positive_roots order.
     root_halfnorms: tuple[int, ...]
     #: Fundamental-weight coordinates (A c) of every positive root, in
@@ -389,7 +396,7 @@ def build_root_system(st: SimpleType) -> RootSystem:
     assert heights[-1] == top_height, f"{st}: highest root is not the last root"
     expected = st.rank * COXETER_NUMBER[st.family](st.rank) // 2
     assert len(roots) == expected, f"{st}: found {len(roots)} positive roots, expected {expected}"
-    return RootSystem(st, cartan, roots, DominantWeight((1,) * st.rank), halfnorms, weights)
+    return RootSystem(st, cartan, roots, halfnorms, weights)
 
 
 def supported_types(max_rank: int) -> list[SimpleType]:

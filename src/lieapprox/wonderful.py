@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple, Sequence
 
 from . import repdim
@@ -66,11 +67,15 @@ class NefDivisor(_NefDivisorFields):
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: tuple[tuple[int, ...], ...]) -> "NefDivisor":
-        for block in coeffs:
-            if any(c < 0 for c in block):
+    def __new__(cls, coeffs: Sequence[Sequence[int]]) -> "NefDivisor":
+        try:
+            checked = tuple(tuple(map(index, block)) for block in coeffs)
+        except TypeError:
+            raise BadArgs(f"nef coordinates must be integers, got {coeffs!r}") from None
+        for block in checked:
+            if block and min(block) < 0:
                 raise NotNef(f"negative nef coordinate in {block}")
-        return super().__new__(cls, coeffs)
+        return super().__new__(cls, checked)
 
     @classmethod
     def _make(cls, fields) -> "NefDivisor":
@@ -78,7 +83,6 @@ class NefDivisor(_NefDivisorFields):
 
     @classmethod
     def from_flat(cls, t: SemisimpleType, flat: Sequence[int]) -> "NefDivisor":
-        flat = [int(c) for c in flat]
         if len(flat) != t.total_rank:
             raise BadArgs(
                 f"{t} needs {t.total_rank} divisor coefficients, got {len(flat)}"

@@ -1,14 +1,15 @@
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieapprox.bounds import (
+    NefReport,
     Verdict,
+    _vanishing_threshold,
     full_conjecture_check,
     liouville_bound,
-    monomial_count,
     table_binomial,
     verify_colour,
     verify_nef,
@@ -25,29 +26,25 @@ def _st(label):
 # -- counting -------------------------------------------------------------------
 
 
+# The vanishing threshold binom(n+d-1, n) is the number of monomials of
+# degree below d in n variables.
+
+
 def test_monomial_count_small_cases():
-    assert monomial_count(3, 2) == 10  # 1 + 3 + 6
-    assert monomial_count(5, 0) == 1
-    assert monomial_count(1, 7) == 8
+    assert _vanishing_threshold(3, 3) == 10  # 1 + 3 + 6
+    assert _vanishing_threshold(5, 1) == 1
+    assert _vanishing_threshold(1, 8) == 8
+    assert _vanishing_threshold(4, 0) == 0
 
 
 def test_monomial_count_by_explicit_product():
-    # independent route: falling-factorial product
+    # independent route: falling-factorial product for degree at most e
     for n, e in [(248, 3), (133, 3), (10, 4)]:
         num = 1
         for j in range(1, e + 1):
             num *= n + j
-        from math import factorial
-
-        assert monomial_count(n, e) == num // factorial(e)
-    assert monomial_count(248, 3) == 2604125
-
-
-def test_monomial_count_bad_args():
-    with pytest.raises(BadArgs):
-        monomial_count(0, 3)
-    with pytest.raises(BadArgs):
-        monomial_count(3, -1)
+        assert _vanishing_threshold(n, e + 1) == num // factorial(e)
+    assert _vanishing_threshold(248, 4) == 2604125
 
 
 def test_liouville_bound_examples():
@@ -88,9 +85,13 @@ def test_liouville_bound_bad_args():
 # -- per-colour verdicts ----------------------------------------------------------
 
 
-def test_verdict_consistency_enforced():
-    with pytest.raises(BadArgs):
-        Verdict(2, 1, 10, 100, passed=True, full_conjecture=False)
+def test_verdict_passes_iff_the_dense_bound_reaches_the_curve():
+    for curve in range(4):
+        for dense in range(4):
+            v = Verdict(curve, dense, 10, 100, full_conjecture=False)
+            assert v.passed == (dense >= curve)
+            assert v._replace(dense_lower_bound=curve).passed
+            assert v.to_dict()["pass"] is v.passed
 
 
 def test_a_family_colours_pass_with_unit_curve_constant():
@@ -182,6 +183,16 @@ def test_verify_nef_zero_divisor_flagged_trivial():
     assert report.passed
     assert report.direct.curve_constant == 0
     assert any("zero divisor" in n for n in report.notes)
+
+
+def test_nef_report_reads_its_flags_from_its_fields():
+    ok, bad = Verdict(1, 2, 3, 4, True), Verdict(2, 1, 3, 4, False)
+    D = NefDivisor(((1,), (1,)))
+    assert NefReport("A1xA1", D, ((0, 1, ok), (1, 1, ok)), ok, 0, ()).passed
+    mixed = NefReport("A1xA1", D, ((0, 1, ok), (1, 1, bad)), ok, 0, ())
+    assert not mixed.trivial and not mixed.structural_passed and not mixed.passed
+    zero = NefReport("A1xA1", NefDivisor(((0,), (0,))), (), bad, None, ())
+    assert zero.trivial and zero.structural_passed and zero.passed
 
 
 def test_verify_nef_e6_all_ones_structural():

@@ -215,6 +215,18 @@ def test_empty_type_factor_is_an_input_error(label, divisor, capsys):
     assert captured.err == f"error: cannot parse semisimple type {label!r}\n"
 
 
+@pytest.mark.parametrize(
+    "divisor, text",
+    [(["--divisor", "1,,0"], "1,,0"), (["--divisor", "1,0,"], "1,0,"), (["--divisor=,1,0"], ",1,0")],
+)
+def test_empty_divisor_item_is_an_input_error(divisor, text, capsys):
+    # each of these used to be read as (1, 0) and exit 0
+    assert main(["bound", "--type", "A2", *divisor]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: divisor coordinates must be integers, got {text!r}\n"
+
+
 def test_alpha_has_no_curve_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["alpha", "--P", "1:0", "--curve", "line"])
@@ -316,6 +328,9 @@ _ALPHA_GOLDENS = [
     ("alpha_P2_3_offset", ["--P", "1:9:3", "--place", "3", "--count", "40"]),
     # (2 : 1 : 4) and (4 : 1 : 4) both have height 4, at distances 1/2 and 1/4
     ("alpha_P2_2_tied", ["--P", "0:1:4", "--place", "2", "--count", "40"]),
+    # the tail starts at index 1, between the two height-4 samples: the larger
+    # distance is read first, so only (4 : 1 : 4) is in the tail of both estimators
+    ("alpha_P2_2_tail_split", ["--P", "0:1:4", "--place", "2", "--count", "40", "--tail", "0.975", "--gamma", "1"]),
 ]
 
 

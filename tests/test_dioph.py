@@ -69,7 +69,7 @@ def test_parse_accepts_either_separator():
 
 def test_place_validation():
     assert PlaceSpec.at(2).prime == 2
-    assert PlaceSpec.archimedean().is_archimedean
+    assert PlaceSpec.archimedean().prime is None
     with pytest.raises(BadArgs):
         PlaceSpec.at(6)
 
@@ -150,7 +150,7 @@ def test_distance_examples():
 def test_distance_symmetric_and_bounded():
     pts = [P10, Point((0, 1)), Point((3, 2)), Point((-5, 8)), Point((1, 1)), Point((1, -1))]
     for place in (INF, PlaceSpec.at(2), PlaceSpec.at(5)):
-        bound = 2 if place.is_archimedean else 1
+        bound = 2 if place.prime is None else 1
         for a in pts:
             for b in pts:
                 d = distance(a, b, place)
@@ -250,7 +250,7 @@ def _line_representatives(target, place, count):
     n = len(coords)
     j = next(j for j in range(n) if any(c for k, c in enumerate(coords) if k != j))
     for i in range(1, count + 1):
-        if place.is_archimedean:
+        if place.prime is None:
             yield tuple(i * c + (k == j) for k, c in enumerate(coords))
         else:
             yield tuple(c + place.prime**i * (k == j) for k, c in enumerate(coords))
@@ -369,21 +369,17 @@ def test_tail_fraction_is_validated_by_both_estimators(name, tail):
 
 
 
+#: The distances in [0, 1] with denominators up to 3.
+_THIRDS_AND_HALVES = sorted({Fraction(k, d) for d in range(1, 4) for k in range(d + 1)})
+
+
 @settings(max_examples=300)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(1, 4),
-            st.fractions(min_value=0, max_value=1, max_denominator=3),
-        ),
-        max_size=30,
-    )
-)
+@given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(_THIRDS_AND_HALVES)), max_size=30))
 def test_sample_order_matches_the_height_minus_distance_key(pairs):
     # Small heights and denominators force ties in both fields; the distinct
     # points tell tied samples apart, so the check covers their order too.
     samples = [
-        ApproxSample(Point((1, k)), h, Fraction(d), 0.0) for k, (h, d) in enumerate(pairs)
+        ApproxSample(Point((1, k)), h, d, 0.0) for k, (h, d) in enumerate(pairs)
     ]
     expected = sorted(samples, key=lambda s: (s.height, -s.distance))
     assert _by_height_then_distance(samples) == expected
@@ -489,3 +485,26 @@ def test_trend_membership_monotone_in_gamma():
 def test_trend_flat_at_the_critical_exponent():
     seq = best_sequence_on_line(P10, INF, 500)
     assert boundedness_trend(seq, 1.0).verdict == "indeterminate"
+
+
+def test_trend_reads_the_same_tail_as_the_estimate():
+    # Heights 2..10 with 6 twice: the tail of half starts between the two
+    # height-6 samples.  The larger distance sorts first at equal height, so
+    # only the one at distance 1/64 is in the tail, whichever order the input
+    # has; a sort by height alone keeps the input order, and takes the one at
+    # 1/36 instead.
+    rows = [(2, 4), (3, 9), (4, 16), (5, 25), (6, 64), (6, 36), (7, 49), (8, 64), (9, 81), (10, 100)]
+    samples = [
+        ApproxSample(Point((1, k)), h, Fraction(1, den), math.log(h) / math.log(den))
+        for k, (h, den) in enumerate(rows)
+    ]
+    assert sorted(samples, key=lambda s: s.height)[5:] != _by_height_then_distance(samples)[5:]
+    tail = _by_height_then_distance(samples)[5:]
+    assert [(s.height, s.distance) for s in tail[:2]] == [(6, Fraction(1, 64)), (7, Fraction(1, 49))]
+    xs = [math.log(s.height) for s in tail]
+    ys = [x - math.log(s.distance.denominator) for x, s in zip(xs, tail)]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
+    for order in (samples, samples[::-1]):
+        assert boundedness_trend(order, 1.0).slope == pytest.approx(slope, abs=1e-12)
+        assert alpha_estimate(order).tail_min == min(s.ratio for s in tail)

@@ -41,7 +41,7 @@ SRC = Path(lieapprox.__file__).resolve().parents[1]
 
 _A2 = build_root_system(SimpleType("A", 2))
 _POINT = RationalProjectivePoint((2, -4, 6))
-_VERDICT = Verdict(1, 2, 3, 4, True, False)
+_VERDICT = Verdict(1, 2, 3, 4, False)
 
 #: One instance of each value type, its field names and its repr.
 SAMPLES = [
@@ -62,25 +62,21 @@ SAMPLES = [
     ),
     (
         build_root_system(SimpleType("A", 1)),
-        ("type", "cartan", "positive_roots", "rho", "root_halfnorms", "root_weights"),
+        ("type", "cartan", "positive_roots", "root_halfnorms", "root_weights"),
         "RootSystem(type=SimpleType(family='A', rank=1), cartan=CartanMatrix(entries=((2,),), "
-        "symmetrizer=(1,)), positive_roots=((1,),), rho=DominantWeight(coords=(1,)), "
-        "root_halfnorms=(1,), root_weights=((2,),))",
+        "symmetrizer=(1,)), positive_roots=((1,),), root_halfnorms=(1,), root_weights=((2,),))",
     ),
     (
         _VERDICT,
-        ("curve_constant", "dense_lower_bound", "required_count", "available_sections", "passed",
-         "full_conjecture"),
+        ("curve_constant", "dense_lower_bound", "required_count", "available_sections", "full_conjecture"),
         "Verdict(curve_constant=1, dense_lower_bound=2, required_count=3, available_sections=4, "
-        "passed=True, full_conjecture=False)",
+        "full_conjecture=False)",
     ),
     (
-        NefReport("A1", NefDivisor(((1,),)), False, True, ((0, 1, _VERDICT),), _VERDICT, 0, ("n",)),
-        ("type_label", "divisor", "trivial", "structural_passed", "colour_verdicts", "direct",
-         "selected_factor", "notes"),
-        f"NefReport(type_label='A1', divisor=NefDivisor(coeffs=((1,),)), trivial=False, "
-        f"structural_passed=True, colour_verdicts=((0, 1, {_VERDICT!r}),), direct={_VERDICT!r}, "
-        f"selected_factor=0, notes=('n',))",
+        NefReport("A1", NefDivisor(((1,),)), ((0, 1, _VERDICT),), _VERDICT, 0, ("n",)),
+        ("type_label", "divisor", "colour_verdicts", "direct", "selected_factor", "notes"),
+        f"NefReport(type_label='A1', divisor=NefDivisor(coeffs=((1,),)), "
+        f"colour_verdicts=((0, 1, {_VERDICT!r}),), direct={_VERDICT!r}, selected_factor=0, notes=('n',))",
     ),
     (
         SemisimpleType.parse("A1xB2"),
@@ -209,17 +205,25 @@ VALIDATIONS = [
     (lambda: SimpleType("H", 2), InvalidRank, "unknown family 'H'"),
     (lambda: SimpleType("A", 2)._replace(rank=0), InvalidRank,
      "A0 is not supported: A needs rank >= 1 (lower ranks repeat smaller types)"),
+    (lambda: SimpleType("A", 2.0), InvalidRank, "rank must be an integer, got 2.0"),
+    (lambda: SimpleType("A", 2)._replace(rank="2"), InvalidRank, "rank must be an integer, got '2'"),
     (lambda: DominantWeight((1, -1)), NonDominant, "negative coordinate in (1, -1)"),
     (lambda: DominantWeight((1,))._replace(coords=(-1,)), NonDominant, "negative coordinate in (-1,)"),
-    (lambda: Verdict(2, 1, 0, 1, True, False), BadArgs,
-     "inconsistent verdict: passed flag contradicts the bounds"),
-    (lambda: _VERDICT._replace(passed=False), BadArgs,
-     "inconsistent verdict: passed flag contradicts the bounds"),
+    (lambda: DominantWeight((1.5, 0)), BadArgs, "weight coordinates must be integers, got (1.5, 0)"),
+    (lambda: DominantWeight(("1", 0)), BadArgs, "weight coordinates must be integers, got ('1', 0)"),
+    (lambda: DominantWeight((1,))._replace(coords=(0.5,)), BadArgs,
+     "weight coordinates must be integers, got (0.5,)"),
     (lambda: SemisimpleType(()), InvalidRank, "a semisimple type needs at least one factor"),
     (lambda: SemisimpleType.parse("A1")._replace(factors=()), InvalidRank,
      "a semisimple type needs at least one factor"),
     (lambda: NefDivisor(((1,), (0, -2))), NotNef, "negative nef coordinate in (0, -2)"),
     (lambda: NefDivisor(((1,),))._replace(coeffs=((-1,),)), NotNef, "negative nef coordinate in (-1,)"),
+    (lambda: NefDivisor((("1", 0),)), BadArgs, "nef coordinates must be integers, got (('1', 0),)"),
+    (lambda: NefDivisor(((1.5, 0),)), BadArgs, "nef coordinates must be integers, got ((1.5, 0),)"),
+    (lambda: NefDivisor.from_flat(SemisimpleType.parse("A2"), [1.5, 0]), BadArgs,
+     "nef coordinates must be integers, got ((1.5, 0),)"),
+    (lambda: NefDivisor(((1,),))._replace(coeffs=((0.5,),)), BadArgs,
+     "nef coordinates must be integers, got ((0.5,),)"),
     (lambda: RationalProjectivePoint((1.5, 2)), BadArgs,
      "projective coordinates must be integers, got (1.5, 2)"),
     (lambda: RationalProjectivePoint(("1", 2)), BadArgs,
