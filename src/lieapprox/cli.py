@@ -328,7 +328,7 @@ def cmd_alpha(args) -> int:
         # (none before Python 3.10.7)
         limit = getattr(sys, "get_int_max_str_digits", int)()
         shown = samples[-3:]
-        biggest = max(max(s.height, s.distance.numerator, s.distance.denominator) for s in shown)
+        biggest = max(max(s.height, s.dist_num, s.dist_den) for s in shown)
         if limit and biggest >= _digit_bound(limit):
             raise BadArgs(
                 f"the samples have integers of more than {limit} digits; lower --count or use --format json"

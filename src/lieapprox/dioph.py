@@ -38,15 +38,20 @@ P_f (+p^i if j = f) at p when f <= j, or 1 or p^i when j < f.  So the
 points are built without re-validation.  ``distance`` and ``make_sample``
 remain the general forms and serve the tests as the oracle for these.
 
+An ``ApproxSample`` stores the point's coordinates, its height, its
+distance as a reduced pair of integers, and the ratio; its ``point`` and
+``distance`` (a Fraction) are views built when read, so a line builds
+neither per sample.
+
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
 over a configurable tail, together with the tail extremes.  It orders the
-samples by their integer heights and compares distances, which are
-Fractions, only between samples of equal height; it takes the least
-distance of each half by comparing the integer cross products
-numerator * denominator.  So on a line whose heights are all distinct, as
-they are for every target in P^1 or P^2 with coordinates of at most 3, it
-makes no Fraction comparison.
+samples by their integer heights and compares distances, as Fractions,
+only between samples of equal height; it takes the least distance of each
+half by comparing the integer cross products numerator * denominator, and
+the trend reads log(dist) as log(numerator) - log(denominator).  So on a
+line whose heights are all distinct, as they are for every target in P^1
+or P^2 with coordinates of at most 3, neither builds a Fraction.
 """
 
 from __future__ import annotations
@@ -184,8 +189,13 @@ class PlaceSpec(_PlaceSpecFields):
     __slots__ = ()
 
     def __new__(cls, prime: int | None = None) -> "PlaceSpec":
-        if prime is not None and not _is_prime(prime):
-            raise BadArgs(f"{prime} is not prime")
+        if prime is not None:
+            try:
+                prime = operator.index(prime)
+            except TypeError:
+                raise BadArgs(f"prime must be an integer, got {prime!r}") from None
+            if not _is_prime(prime):
+                raise BadArgs(f"{prime} is not prime")
         return super().__new__(cls, prime)
 
     @classmethod
@@ -249,19 +259,25 @@ def distance(
 
 
 class ApproxSample(NamedTuple):
-    """One approximation to a target: the point, its height, its distance to
-    the target, and the ratio log(height)/(-log(distance))."""
+    """One approximation to a target, stored as integers and one float: the
+    point's coordinates (primitive, first nonzero entry positive), its
+    height, its distance dist_num / dist_den in lowest terms with
+    dist_den > 0, and the ratio log(height)/(-log(distance)).  ``point``
+    and ``distance`` are views built when read."""
 
-    point: RationalProjectivePoint
+    coords: tuple[int, ...]
     height: int
-    distance: Fraction
+    dist_num: int
+    dist_den: int
     ratio: float
 
+    @property
+    def point(self) -> RationalProjectivePoint:
+        return RationalProjectivePoint._trusted(self.coords)
 
-def _flog(q: Fraction | int) -> float:
-    if isinstance(q, int):
-        return math.log(q)
-    return math.log(q.numerator) - math.log(q.denominator)
+    @property
+    def distance(self) -> Fraction:
+        return Fraction(self.dist_num, self.dist_den)
 
 
 def _ratio(h: int, num: int, den: int) -> float:
@@ -283,7 +299,8 @@ def make_sample(
     if dist == 0:
         raise BadArgs("sample point coincides with the target")
     h = height(point, m)
-    return ApproxSample(point, h, dist, _ratio(h, *dist.as_integer_ratio()))
+    num, den = dist.as_integer_ratio()
+    return ApproxSample(point.coords, h, num, den, _ratio(h, num, den))
 
 
 def best_sequence_on_line(
@@ -305,7 +322,7 @@ def best_sequence_on_line(
         dist_i = p^-(i + v_p(gcd_{k!=j} P_k)),
     since p does not divide g_i, P being primitive.  The representative
     divided by g_i is primitive with its first nonzero entry positive, so
-    the points skip re-validation.
+    it is stored without re-validation.
     """
     if count < 10:
         raise TooFewPoints(f"need at least 10 points, got {count}")
@@ -316,7 +333,6 @@ def best_sequence_on_line(
     # e_j is proportional to the target only when the target is supported on {j}.
     j = next(j for j in range(n) if any(coords[k] for k in range(n) if k != j))
     others = [c for k, c in enumerate(coords) if k != j]
-    trusted = RationalProjectivePoint._trusted
     new = tuple.__new__
     samples = []
     p = place.prime
@@ -333,9 +349,10 @@ def best_sequence_on_line(
                 h //= g
             if m != 1:
                 h **= m
-            dist = Fraction(cross, top * size)
-            ratio = _ratio(h, *dist.as_integer_ratio())
-            samples.append(new(ApproxSample, (trusted(tuple(rep)), h, dist, ratio)))
+            den = top * size
+            d = math.gcd(cross, den)
+            num, den = cross // d, den // d
+            samples.append(new(ApproxSample, (tuple(rep), h, num, den, _ratio(h, num, den))))
     else:
         rep = list(coords)
         step = 1
@@ -346,14 +363,15 @@ def best_sequence_on_line(
             g = math.gcd(*rep)
             h = max(map(abs, rep))
             if g == 1:
-                point = trusted(tuple(rep))
+                point = tuple(rep)
             else:
-                point = trusted(tuple(c // g for c in rep))
+                point = tuple(c // g for c in rep)
                 h //= g
             if m != 1:
                 h **= m
             den = step if scale == 1 else step * scale
-            samples.append(new(ApproxSample, (point, h, Fraction(1, den), _ratio(h, 1, den))))
+            # _ratio(h, 1, den), whose -log(1/den) is exactly log(den) > 0
+            samples.append(new(ApproxSample, (point, h, 1, den, math.log(h) / math.log(den))))
     return samples
 
 
@@ -369,9 +387,9 @@ class AlphaEstimate(NamedTuple):
 
 _HEIGHT = operator.attrgetter("height")
 _DISTANCE = operator.attrgetter("distance")
+_DISTANCE_PAIR = operator.attrgetter("dist_num", "dist_den")
 _RATIO = operator.attrgetter("ratio")
-_COORDS = operator.attrgetter("point.coords")
-_INTEGER_RATIO = operator.methodcaller("as_integer_ratio")
+_COORDS = operator.attrgetter("coords")
 
 
 def _by_height_then_distance(samples: Sequence[ApproxSample]) -> list[ApproxSample]:
@@ -379,9 +397,9 @@ def _by_height_then_distance(samples: Sequence[ApproxSample]) -> list[ApproxSamp
 
     One stable sort on the integer height, then a stable sort by descending
     distance of each run of equal heights: the order of the key
-    (height, -distance), ties included.  Distances, which are Fractions,
-    are compared only inside such runs, so a list whose heights are all
-    distinct makes no Fraction comparison.
+    (height, -distance), ties included.  Distances are built as Fractions
+    and compared only inside such runs, so a list whose heights are all
+    distinct builds none.
     """
     ordered = sorted(samples, key=_HEIGHT)
     heights = list(map(_HEIGHT, ordered))
@@ -396,7 +414,7 @@ def _min_distance(samples: Sequence[ApproxSample]) -> tuple[int, int]:
     Denominators are positive, so a/b < c/d exactly when a*d < c*b: the
     integers are compared, never the Fractions.
     """
-    pairs = map(_INTEGER_RATIO, map(_DISTANCE, samples))
+    pairs = map(_DISTANCE_PAIR, samples)
     num, den = next(pairs)
     for n, d in pairs:
         if n * den < num * d:
@@ -436,9 +454,9 @@ def alpha_estimate(
     if len(set(coords)) < len(coords):
         seen = set()
         for s in ordered:
-            if s.point.coords in seen:
+            if s.coords in seen:
                 raise NotConverging(f"repeated point {s.point}")
-            seen.add(s.point.coords)
+            seen.add(s.coords)
     half = len(ordered) // 2
     head_num, head_den = _min_distance(ordered[:half])
     tail_num, tail_den = _min_distance(ordered[half:])
@@ -488,8 +506,8 @@ def boundedness_trend(
     ordered = _by_height_then_distance(samples)
     xs, ys = [], []
     for s in ordered[start:]:
-        x = _flog(s.height)
-        ys.append(x + gamma * _flog(s.distance))
+        x = math.log(s.height)
+        ys.append(x + gamma * (math.log(s.dist_num) - math.log(s.dist_den)))
         xs.append(x)
     n = len(xs)
     mean_x = sum(xs) / n

@@ -14,6 +14,7 @@ from lieapprox.dioph import (
     RationalProjectivePoint as Point,
     _by_height_then_distance,
     _is_prime,
+    _ratio,
     alpha_estimate,
     best_sequence_on_line,
     boundedness_trend,
@@ -293,6 +294,13 @@ def test_line_samples_match_make_sample(target, prime, count, m):
         assert sample.height == expected.height
         assert sample.distance == expected.distance
         assert sample.ratio == expected.ratio or math.isnan(sample.ratio) and math.isnan(expected.ratio)
+        # the views against the general forms, and the stored integers
+        num, den = sample.dist_num, sample.dist_den
+        assert sample.point == Point(sample.coords)
+        assert sample.distance == distance(sample.point, target, place)
+        assert den > 0 and math.gcd(num, den) == 1
+        general = _ratio(sample.height, num, den)
+        assert sample.ratio == general or math.isnan(sample.ratio) and math.isnan(general)
 
 
 def test_alpha_estimate_closed_form_line():
@@ -379,7 +387,7 @@ def test_sample_order_matches_the_height_minus_distance_key(pairs):
     # Small heights and denominators force ties in both fields; the distinct
     # points tell tied samples apart, so the check covers their order too.
     samples = [
-        ApproxSample(Point((1, k)), h, d, 0.0) for k, (h, d) in enumerate(pairs)
+        ApproxSample((1, k), h, d.numerator, d.denominator, 0.0) for k, (h, d) in enumerate(pairs)
     ]
     expected = sorted(samples, key=lambda s: (s.height, -s.distance))
     assert _by_height_then_distance(samples) == expected
@@ -405,7 +413,7 @@ def _drawn_samples(draw):
     # distances that shrink with the height make many lists converge
     shrink = draw(st.booleans())
     return [
-        ApproxSample(Point((1, label)), h, d / h if shrink else d, r)
+        ApproxSample((1, label), h, *(d / h if shrink else d).as_integer_ratio(), r)
         for label, (h, d, r) in zip(labels, rows)
     ]
 
@@ -456,6 +464,23 @@ def test_alpha_estimate_makes_no_fraction_comparison_on_a_tie_free_line(prime, m
     assert calls == []
 
 
+@pytest.mark.parametrize("prime", [None, 2])
+def test_a_tie_free_line_builds_no_fraction(prime, monkeypatch):
+    # Samples store their distance as two integers: building the line, the
+    # estimate and the trend on distinct heights makes no Fraction at all.
+    place = PlaceSpec(prime)
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: calls.append(args) or new(cls, *args, **kw))
+    assert Fraction(1, 3) == Fraction(2, 6) and calls  # the patch counts
+    calls.clear()
+    samples = best_sequence_on_line(Point((3, -2, 5)), place, 300)[::-1]
+    alpha_estimate(samples)
+    boundedness_trend(samples, 1.0)
+    assert calls == []
+    assert len({s.height for s in samples}) == len(samples)
+
+
 # -- the boundedness dichotomy ------------------------------------------------------
 
 
@@ -495,7 +520,7 @@ def test_trend_reads_the_same_tail_as_the_estimate():
     # 1/36 instead.
     rows = [(2, 4), (3, 9), (4, 16), (5, 25), (6, 64), (6, 36), (7, 49), (8, 64), (9, 81), (10, 100)]
     samples = [
-        ApproxSample(Point((1, k)), h, Fraction(1, den), math.log(h) / math.log(den))
+        ApproxSample((1, k), h, 1, den, math.log(h) / math.log(den))
         for k, (h, den) in enumerate(rows)
     ]
     assert sorted(samples, key=lambda s: s.height)[5:] != _by_height_then_distance(samples)[5:]

@@ -10,7 +10,6 @@ the exception class and message pinned below.
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -99,10 +98,9 @@ SAMPLES = [
         "PlaceSpec(prime=3)",
     ),
     (
-        ApproxSample(_POINT, 3, Fraction(1, 9), 0.5),
-        ("point", "height", "distance", "ratio"),
-        "ApproxSample(point=RationalProjectivePoint(coords=(1, -2, 3)), height=3, "
-        "distance=Fraction(1, 9), ratio=0.5)",
+        ApproxSample(_POINT.coords, 3, 1, 9, 0.5),
+        ("coords", "height", "dist_num", "dist_den", "ratio"),
+        "ApproxSample(coords=(1, -2, 3), height=3, dist_num=1, dist_den=9, ratio=0.5)",
     ),
     (
         AlphaEstimate(1.0, 0.5, 1.5, 20, 10),
@@ -234,6 +232,9 @@ VALIDATIONS = [
     (lambda: PlaceSpec(4), BadArgs, "4 is not prime"),
     (lambda: PlaceSpec(1), BadArgs, "1 is not prime"),
     (lambda: PlaceSpec(3)._replace(prime=9), BadArgs, "9 is not prime"),
+    (lambda: PlaceSpec(2.0), BadArgs, "prime must be an integer, got 2.0"),
+    (lambda: PlaceSpec("3"), BadArgs, "prime must be an integer, got '3'"),
+    (lambda: PlaceSpec(3)._replace(prime=2.0), BadArgs, "prime must be an integer, got 2.0"),
 ]
 
 
