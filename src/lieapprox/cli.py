@@ -288,13 +288,6 @@ def cmd_bound(args) -> int:
 # alpha subcommand
 
 
-@lru_cache(maxsize=1)
-def _digit_bound(limit: int) -> int:
-    """10**limit, the least integer longer than ``limit`` digits; a
-    4 301-digit power, so it is computed once per limit."""
-    return 10**limit
-
-
 def cmd_alpha(args) -> int:
     target = RationalProjectivePoint.parse(args.point)
     if args.place == "inf":
@@ -324,18 +317,17 @@ def cmd_alpha(args) -> int:
         payload["trends"] = trends
         print(_json(payload), end="")
     else:
-        # str() refuses integers longer than the interpreter's digit limit
-        # (none before Python 3.10.7)
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        shown = samples[-3:]
-        biggest = max(max(s.height, s.dist_num, s.dist_den) for s in shown)
-        if limit and biggest >= _digit_bound(limit):
+        # str() refuses an integer longer than the interpreter's digit limit,
+        # so the sample lines are formatted before anything is printed
+        try:
+            shown = [f"  {s.point}  H = {s.height}  dist = {s.distance}  ratio = {s.ratio:.6f}" for s in samples[-3:]]
+        except ValueError:
             raise BadArgs(
-                f"the samples have integers of more than {limit} digits; lower --count or use --format json"
-            )
+                f"the samples have integers of more than {sys.get_int_max_str_digits()} digits; "
+                "lower --count or use --format json"
+            ) from None
         print(f"target {target} at place {place}, {args.count} points on a line, m = {args.m}")
-        for s in shown:
-            print(f"  {s.point}  H = {s.height}  dist = {s.distance}  ratio = {s.ratio:.6f}")
+        print("\n".join(shown))
         print(
             f"alpha estimate {estimate.estimate:.6f} "
             f"(tail of {estimate.tail_count}: min {estimate.tail_min:.6f}, max {estimate.tail_max:.6f})"

@@ -34,14 +34,21 @@ Each representative, divided once by its gcd (which is positive), is
 primitive, and its first nonzero entry is already positive.  With f the
 index of P's first nonzero entry P_f > 0, the representative vanishes
 before min(j, f) and its entry there is i*P_f (+1 if j = f) at inf and
-P_f (+p^i if j = f) at p when f <= j, or 1 or p^i when j < f.  So the
-points are built without re-validation.  ``distance`` and ``make_sample``
-remain the general forms and serve the tests as the oracle for these.
+P_f (+p^i if j = f) at p when f <= j, or 1 or p^i when j < f.  At p only
+the j-th coordinate moves, so g_i = gcd(gcd_{k!=j} P_k, P_j + p^i) and the
+height is max(max_{k!=j} |P_k|, |P_j + p^i|) / g_i, with the parts over
+k != j taken once per line.  ``distance`` and ``make_sample`` remain the
+general forms and serve the tests as the oracle for these.
 
 An ``ApproxSample`` stores the point's coordinates, its height, its
 distance as a reduced pair of integers, and the ratio; its ``point`` and
 ``distance`` (a Fraction) are views built when read, so a line builds
-neither per sample.
+neither per sample.  Every constructor here checks its input
+(``RationalProjectivePoint`` normalises, ``PlaceSpec`` decides primality,
+``ApproxSample`` normalises its point and reduces its distance), and so
+does ``_replace``.  Only ``best_sequence_on_line`` skips a check: its
+samples are primitive and reduced by the closed forms above, so it builds
+them with ``tuple.__new__``.
 
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
@@ -105,25 +112,12 @@ def _is_prime(p: int) -> bool:
 
 
 def _valuation(x: int, p: int) -> int:
-    """Exponent of the prime p in the nonzero integer x.
-
-    For p = 2 the lowest set bit gives it directly.  Otherwise divide by
-    p, p^2, p^4, ... while they divide, then settle the remainder of the
-    exponent bit by bit from the largest square down, so a valuation v
-    costs O(log v) big divisions instead of v.
-    """
-    if p == 2:
-        return (x & -x).bit_length() - 1
-    powers = [p]
+    """Exponent of the prime p in the nonzero integer x, by repeated division;
+    a prime line takes one, of the gcd of the target's other coordinates."""
     v = 0
-    while x % powers[-1] == 0:
-        x //= powers[-1]
-        v += 1 << (len(powers) - 1)
-        powers.append(powers[-1] * powers[-1])
-    for k in range(len(powers) - 2, -1, -1):
-        if x % powers[k] == 0:
-            x //= powers[k]
-            v += 1 << k
+    while x % p == 0:
+        x //= p
+        v += 1
     return v
 
 
@@ -154,12 +148,6 @@ class RationalProjectivePoint(_PointFields):
     @classmethod
     def _make(cls, fields) -> "RationalProjectivePoint":
         return cls(*fields)
-
-    @classmethod
-    def _trusted(cls, coords: tuple[int, ...]) -> "RationalProjectivePoint":
-        """A point from coordinates already primitive with first nonzero
-        entry positive, skipping the validation of the constructor."""
-        return tuple.__new__(cls, (coords,))
 
     @classmethod
     def parse(cls, text: str) -> "RationalProjectivePoint":
@@ -258,22 +246,50 @@ def distance(
     return Fraction(1, p ** _valuation(math.gcd(*cross), p))
 
 
-class ApproxSample(NamedTuple):
-    """One approximation to a target, stored as integers and one float: the
-    point's coordinates (primitive, first nonzero entry positive), its
-    height, its distance dist_num / dist_den in lowest terms with
-    dist_den > 0, and the ratio log(height)/(-log(distance)).  ``point``
-    and ``distance`` are views built when read."""
-
+class _ApproxSampleFields(NamedTuple):
     coords: tuple[int, ...]
     height: int
     dist_num: int
     dist_den: int
     ratio: float
 
+
+class ApproxSample(_ApproxSampleFields):
+    """One approximation to a target, stored as integers and one float: the
+    point's coordinates (primitive, first nonzero entry positive), its
+    height, its distance dist_num / dist_den in lowest terms with
+    dist_den > 0, and the ratio log(height)/(-log(distance)).  ``point``
+    and ``distance`` are views built when read.
+
+    The constructor and ``_replace`` check the fields: the coordinates are
+    normalised as by ``RationalProjectivePoint``, the distance is reduced,
+    and a zero denominator or a negative distance raises BadArgs.  Only
+    ``best_sequence_on_line``, whose fields hold this by construction,
+    skips the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords, height: int, dist_num: int, dist_den: int, ratio: float) -> "ApproxSample":
+        coords = RationalProjectivePoint(coords).coords
+        try:
+            num, den = operator.index(dist_num), operator.index(dist_den)
+        except TypeError:
+            raise BadArgs(f"a sample distance must be a ratio of integers, got {dist_num!r}/{dist_den!r}") from None
+        if den == 0:
+            raise BadArgs(f"a sample distance needs a nonzero denominator, got {num}/{den}")
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        num, den = num // g, den // g
+        if num < 0:
+            raise BadArgs(f"a sample distance cannot be negative, got {num}/{den}")
+        return super().__new__(cls, coords, height, num, den, ratio)
+
+    @classmethod
+    def _make(cls, fields) -> "ApproxSample":
+        return cls(*fields)
+
     @property
     def point(self) -> RationalProjectivePoint:
-        return RationalProjectivePoint._trusted(self.coords)
+        return RationalProjectivePoint(self.coords)
 
     @property
     def distance(self) -> Fraction:
@@ -321,8 +337,9 @@ def best_sequence_on_line(
     since the gcd g_i of the representative cancels; at p
         dist_i = p^-(i + v_p(gcd_{k!=j} P_k)),
     since p does not divide g_i, P being primitive.  The representative
-    divided by g_i is primitive with its first nonzero entry positive, so
-    it is stored without re-validation.
+    divided by g_i is primitive with its first nonzero entry positive, and
+    the distance is reduced, so the sample is built without the checks of
+    the ``ApproxSample`` constructor.
     """
     if count < 10:
         raise TooFewPoints(f"need at least 10 points, got {count}")
@@ -354,14 +371,17 @@ def best_sequence_on_line(
             num, den = cross // d, den // d
             samples.append(new(ApproxSample, (tuple(rep), h, num, den, _ratio(h, num, den))))
     else:
+        # only the j-th coordinate moves: the others' gcd and height are constant
+        common = math.gcd(*others)
+        top = max(map(abs, others))
+        scale = p ** _valuation(common, p)
         rep = list(coords)
         step = 1
-        scale = p ** _valuation(math.gcd(*others), p)
         for _ in range(count):
             step *= p
-            rep[j] = coords[j] + step
-            g = math.gcd(*rep)
-            h = max(map(abs, rep))
+            x = rep[j] = coords[j] + step
+            g = math.gcd(common, x)
+            h = max(top, abs(x))
             if g == 1:
                 point = tuple(rep)
             else:

@@ -292,13 +292,14 @@ def rootcurve_table(types) -> Table:
     in the reference row order, with a discrepancy appendix."""
     rows, appendix = [], []
     for st in sorted(types):
-        comarks = computed_comark_row(st)
-        binoms = [str(b) for b in computed_curve_binomial_row(st)]
+        comark_audit, binomial_audit = audit_comarks(st), audit_curve_binomials(st)
+        comarks = comark_audit.computed
+        binoms = [str(b) for b in binomial_audit.computed]
         rows.append(TableRow(
             {"type": str(st), "comarks": list(comarks), "curve_binomials": binoms},
             (str(st), ", ".join(map(str, comarks)), tuple(binoms)),
         ))
-        appendix += audit_comarks(st).describe() + audit_curve_binomials(st).describe()
+        appendix += comark_audit.describe() + binomial_audit.describe()
         appendix += header_formula_flags(st)
     return Table(
         name="rootcurves",
@@ -317,8 +318,9 @@ def dims_table(types) -> Table:
     type, with a discrepancy appendix against the printed values."""
     rows, appendix = [], []
     for st in sorted(types):
-        dim = computed_dim_x(st)
-        bases = computed_end_base_row(st)
+        dim_audit, bases_audit = audit_dim_x(st), audit_end_bases(st)
+        (dim,) = dim_audit.computed
+        bases = bases_audit.computed
         rows.append(TableRow(
             {
                 "type": str(st),
@@ -328,7 +330,7 @@ def dims_table(types) -> Table:
             },
             (str(st), str(dim), tuple(f"{b}^2" for b in bases)),
         ))
-        appendix += audit_dim_x(st).describe() + audit_end_bases(st).describe()
+        appendix += dim_audit.describe() + bases_audit.describe()
     return Table(
         name="dims",
         title="dim X and End dimensions of the fundamental representations",

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -367,12 +368,24 @@ def test_alpha_at_a_large_prime_place(capsys):
 
 
 def test_alpha_text_refuses_integers_past_the_digit_limit(capsys):
-    # (2^61 - 1)^300 has about 5 500 digits, over the default limit of 4 300
-    argv = ["alpha", "--P", "1:2", "--place", str(2**61 - 1), "--count", "300"]
-    with mock.patch("sys.get_int_max_str_digits", return_value=4300):
-        assert main(argv) == 2
-    assert "digits; lower --count or use --format json" in capsys.readouterr().err
-    assert main(argv + ["--format", "json"]) == 0
+    refusal = "error: the samples have integers of more than 4300 digits; lower --count or use --format json\n"
+    # (2^61 - 1)^300 has about 5 500 digits.  On (1 : 2) at 7 the last
+    # distance denominator is 7^count, which has 4 300 digits at count 5088
+    # and 4 301 at 5089, so there only the last shown sample is too long.
+    big = ["alpha", "--P", "1:2", "--place", str(2**61 - 1), "--count", "300"]
+    edge = ["alpha", "--P", "1:2", "--place", "7", "--count"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (big, edge + ["5089"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", refusal)
+        assert main(edge + ["5088"]) == 0
+        assert capsys.readouterr().out.startswith("target (1 : 2) at place 7, 5088 points")
+        assert main(big + ["--format", "json"]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("argv, value, code, reply", [

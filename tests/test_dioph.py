@@ -15,6 +15,7 @@ from lieapprox.dioph import (
     _by_height_then_distance,
     _is_prime,
     _ratio,
+    _valuation,
     alpha_estimate,
     best_sequence_on_line,
     boundedness_trend,
@@ -111,23 +112,18 @@ def test_padic_absolute_value():
     assert p3.abs(0) == 0
 
 
-def _valuation_by_division(x, p):
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 @given(
     st.sampled_from([2, 3, 5, 7, 11]),
     st.integers(0, 3000),
     st.integers(-(10**30), 10**30).filter(bool),
 )
-def test_padic_absolute_value_matches_division_loop(p, exponent, unit):
-    # unit may itself carry factors of p; the loop is the reference either way
+def test_padic_absolute_value_is_the_largest_dividing_power(p, exponent, unit):
+    # unit may itself carry factors of p, so v may exceed the exponent
     x = unit * p**exponent
-    assert PlaceSpec.at(p).abs(x) == Fraction(1, p ** _valuation_by_division(x, p))
+    v = _valuation(x, p)
+    assert v >= exponent
+    assert x % p**v == 0 and x % p ** (v + 1) != 0
+    assert PlaceSpec.at(p).abs(x) == Fraction(1, p**v)
 
 
 # -- heights and distances -------------------------------------------------------
@@ -299,6 +295,8 @@ def test_line_samples_match_make_sample(target, prime, count, m):
         assert sample.point == Point(sample.coords)
         assert sample.distance == distance(sample.point, target, place)
         assert den > 0 and math.gcd(num, den) == 1
+        # the line skips the checking constructor, which leaves its fields as they are
+        assert ApproxSample._make(sample) == sample
         general = _ratio(sample.height, num, den)
         assert sample.ratio == general or math.isnan(sample.ratio) and math.isnan(general)
 
@@ -349,6 +347,12 @@ def test_alpha_estimate_rejects_non_converging():
     repeated = best_sequence_on_line(P10, INF, 20)
     with pytest.raises(NotConverging):
         alpha_estimate(list(repeated) + [repeated[-1]])
+    # the constructor normalises coordinates, so three times the last point is that point
+    last = repeated[-1]
+    scaled = ApproxSample(tuple(3 * c for c in last.coords), *last[1:])
+    assert scaled == last
+    with pytest.raises(NotConverging, match="repeated point"):
+        alpha_estimate(repeated + [scaled])
 
 
 def test_alpha_estimate_tail_fraction_validation():
