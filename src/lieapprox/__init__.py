@@ -13,6 +13,7 @@ from .bounds import (
 )
 from .dioph import (
     AlphaEstimate,
+    ApproxLine,
     ApproxSample,
     PlaceSpec,
     RationalProjectivePoint,

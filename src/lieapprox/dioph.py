@@ -34,40 +34,55 @@ Each representative, divided once by its gcd (which is positive), is
 primitive, and its first nonzero entry is already positive.  With f the
 index of P's first nonzero entry P_f > 0, the representative vanishes
 before min(j, f) and its entry there is i*P_f (+1 if j = f) at inf and
-P_f (+p^i if j = f) at p when f <= j, or 1 or p^i when j < f.  At p only
-the j-th coordinate moves, so g_i = gcd(gcd_{k!=j} P_k, P_j + p^i) and the
-height is max(max_{k!=j} |P_k|, |P_j + p^i|) / g_i, with the parts over
-k != j taken once per line.  ``distance`` and ``make_sample`` remain the
-general forms and serve the tests as the oracle for these.
+P_f (+p^i if j = f) at p when f <= j, or 1 or p^i when j < f.  At inf
+each |i*P_k + [k = j]| is an arithmetic progression in i, and from i = 2
+on the largest |P_k| attains max |i*P + e_j|, so that too is one.  At p
+only the j-th coordinate moves, so g_i = gcd(gcd_{k!=j} P_k, P_j + p^i)
+and the height is max(max_{k!=j} |P_k|, |P_j + p^i|) / g_i, with the
+parts over k != j taken once per line.  ``distance`` and ``make_sample``
+remain the general forms and serve the tests as the oracle for these.
 
-An ``ApproxSample`` stores the point's coordinates, its height, its
-distance as a reduced pair of integers, and the ratio; its ``point`` and
-``distance`` (a Fraction) are views built when read, so a line builds
-neither per sample.  Every constructor here checks its input
-(``RationalProjectivePoint`` normalises, ``PlaceSpec`` decides primality,
-``ApproxSample`` normalises its point and reduces its distance), and so
-does ``_replace``.  Only ``best_sequence_on_line`` skips a check: its
-samples are primitive and reduced by the closed forms above, so it builds
-them with ``tuple.__new__``.
+A line is an ``ApproxLine``, a read-only sequence that stores integer
+columns in line order: the heights before their m-th power, the reduced
+distances and the gcds of the representatives.  They are built by maps
+over whole columns, with no tuple per sample.  An ``ApproxSample`` (the
+point's coordinates, its height, its distance as a reduced pair of
+integers, and the ratio) is built only when the line is indexed or
+sliced; its ``point`` and ``distance`` (a Fraction) are views built when
+read.  Every constructor here checks its input (``RationalProjectivePoint``
+normalises, ``PlaceSpec`` decides primality, ``ApproxSample`` normalises
+its point, checks its height and reduces its distance), and so does
+``_replace``.  Only ``ApproxLine`` skips a check: its samples are
+primitive and reduced by the closed forms above, so it builds them with
+``tuple.__new__``.
 
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
-over a configurable tail, together with the tail extremes.  It orders the
-samples by their integer heights and compares distances, as Fractions,
-only between samples of equal height; it takes the least distance of each
-half by comparing the integer cross products numerator * denominator, and
-the trend reads log(dist) as log(numerator) - log(denominator).  So on a
-line whose heights are all distinct, as they are for every target in P^1
-or P^2 with coordinates of at most 3, neither builds a Fraction.
+over a configurable tail, together with the tail extremes.  Both
+estimators read columns: a line's own, or those of any other sequence of
+samples.  They order the indices by the integer heights, compare
+distances, as Fractions, only between samples of equal height, and keep
+the order on the line for every later read.  The m-th powers, the
+logarithms and the ratios are computed for the tail only, and the
+estimate and every trend of that tail share the logarithms; log(dist) is
+log(numerator) - log(denominator).  A line's points are distinct and its
+distances strictly decrease along it, so the estimate reads the least
+distance of each half at its last index; any other sequence is checked
+for repeated points, and its least distances are found by comparing the
+integer cross products numerator * denominator.  So on a line whose
+heights are all distinct, as they are for every target in P^1 or P^2
+with coordinates of at most 3, neither builds a Fraction.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import groupby
-from typing import NamedTuple, Sequence
+from itertools import accumulate, groupby, islice, repeat
+from typing import NamedTuple
 
 from .errors import (
     BadArgs,
@@ -262,15 +277,21 @@ class ApproxSample(_ApproxSampleFields):
     and ``distance`` are views built when read.
 
     The constructor and ``_replace`` check the fields: the coordinates are
-    normalised as by ``RationalProjectivePoint``, the distance is reduced,
-    and a zero denominator or a negative distance raises BadArgs.  Only
-    ``best_sequence_on_line``, whose fields hold this by construction,
-    skips the check."""
+    normalised as by ``RationalProjectivePoint``, the height must be an
+    integer of at least 1, the distance is reduced, and a zero denominator
+    or a negative distance raises BadArgs.  Only ``ApproxLine``, whose
+    fields hold this by construction, skips the check."""
 
     __slots__ = ()
 
     def __new__(cls, coords, height: int, dist_num: int, dist_den: int, ratio: float) -> "ApproxSample":
         coords = RationalProjectivePoint(coords).coords
+        try:
+            height = operator.index(height)
+        except TypeError:
+            raise BadArgs(f"a sample height must be an integer, got {height!r}") from None
+        if height < 1:
+            raise BadArgs(f"a sample height must be at least 1, got {height}")
         try:
             num, den = operator.index(dist_num), operator.index(dist_den)
         except TypeError:
@@ -296,13 +317,18 @@ class ApproxSample(_ApproxSampleFields):
         return Fraction(self.dist_num, self.dist_den)
 
 
+def _log_ratio(log_h: float, log_dist: float) -> float:
+    """log(h) / (-log(dist)) from the two logarithms: inf when the distance
+    is 1 and h > 1, NaN when both are 1."""
+    if log_dist == 0.0:
+        return math.inf if log_h > 0 else math.nan
+    return log_h / -log_dist
+
+
 def _ratio(h: int, num: int, den: int) -> float:
-    """log(h) / (-log(num/den)) for a reduced distance num/den: inf when the
-    distance is 1 and h > 1, NaN when both are 1."""
-    neg_log_dist = -(math.log(num) - math.log(den))
-    if neg_log_dist == 0.0:
-        return math.inf if h > 1 else math.nan
-    return math.log(h) / neg_log_dist
+    """log(h) / (-log(num/den)) for a height h >= 1 and a reduced distance
+    num/den, with log(dist) taken as log(num) - log(den)."""
+    return _log_ratio(math.log(h), math.log(num) - math.log(den))
 
 
 def make_sample(
@@ -319,12 +345,125 @@ def make_sample(
     return ApproxSample(point.coords, h, num, den, _ratio(h, num, den))
 
 
+def _take(column: list, indices: Sequence[int]) -> list:
+    """column[k] for each k in indices; a range of step 1 is a slice."""
+    if isinstance(indices, range):
+        return column[indices.start:indices.stop]
+    return list(map(column.__getitem__, indices))
+
+
+def _height_order(heights: list[int], nums: list[int], dens: list[int]) -> Sequence[int]:
+    """The indices by ascending height, and at equal height by descending
+    distance nums[k] / dens[k]: the order of the key (height, -distance),
+    ties kept in index order.
+
+    ``range(n)`` when the heights strictly increase.  Otherwise one stable
+    sort of the indices on the integer heights, then a stable sort by
+    descending distance of each run of equal heights; distances are built
+    as Fractions and compared only when such a run exists.
+    """
+    if all(map(operator.lt, heights, islice(heights, 1, None))):
+        return range(len(heights))
+    order = sorted(range(len(heights)), key=heights.__getitem__)
+    ordered = list(map(heights.__getitem__, order))
+    if not any(map(operator.eq, ordered, islice(ordered, 1, None))):
+        return order
+    def distance(k: int) -> Fraction:
+        return Fraction(nums[k], dens[k])
+
+    return [k for _, run in groupby(order, heights.__getitem__) for k in sorted(run, key=distance, reverse=True)]
+
+
+class _Columns:
+    """Samples as columns, in their own order: the k-th has height
+    heights[k] ** m and distance nums[k] / dens[k], and its ratio is
+    ratios[k], or computed from those when ``ratios`` is None.
+
+    The order of ``_height_order`` is computed once, and so are the
+    logarithms of the heights and distances over the last tail read, which
+    the estimate and every trend of that tail share.
+    """
+
+    __slots__ = ("heights", "m", "nums", "dens", "ratios", "_order", "_tail")
+
+    def __init__(self, heights: list[int], m: int, nums: list[int], dens: list[int], ratios: list[float] | None):
+        self.heights, self.m, self.nums, self.dens, self.ratios = heights, m, nums, dens, ratios
+        self._order = self._tail = None
+
+    @property
+    def order(self) -> Sequence[int]:
+        if self._order is None:
+            self._order = _height_order(self.heights, self.nums, self.dens)
+        return self._order
+
+    def tail_logs(self, start: int) -> tuple[list[float], list[float]]:
+        """log(height) and log(dist) = log(num) - log(den) of the samples
+        from position ``start`` of the order on; the m-th powers are taken
+        only here."""
+        if self._tail is None or self._tail[0] != start:
+            tail = self.order[start:]
+            heights = _take(self.heights, tail)
+            if self.m != 1:
+                heights = map(pow, heights, repeat(self.m))
+            log_h = list(map(math.log, heights))
+            nums, dens = map(math.log, _take(self.nums, tail)), map(math.log, _take(self.dens, tail))
+            self._tail = (start, log_h, list(map(operator.sub, nums, dens)))
+        return self._tail[1:]
+
+    def tail_ratios(self, start: int) -> Iterable[float]:
+        if self.ratios is not None:
+            return _take(self.ratios, self.order[start:])
+        return map(_log_ratio, *self.tail_logs(start))
+
+
+class ApproxLine(_Columns, Sequence):
+    """The samples of ``best_sequence_on_line``, a read-only sequence stored
+    as integer columns in line order: base heights (before the m-th
+    power), reduced distances, and the gcd of each representative.
+
+    ``line[k]`` and slices build ``ApproxSample``s when read, with the
+    point from the target and the gcd, the height's m-th power and the
+    ratio; a slice is a list.  The estimators read the columns.
+    """
+
+    __slots__ = ("target", "place", "_j", "_gcds")
+
+    def __init__(self, target: RationalProjectivePoint, place: PlaceSpec, j: int, m: int, gcds: list[int],
+                 heights: list[int], nums: list[int], dens: list[int]):
+        super().__init__(heights, m, nums, dens, None)
+        self.target, self.place, self._j, self._gcds = target, place, j, gcds
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._sample, range(len(self))[index]))
+        return self._sample(range(len(self))[index])
+
+    def _sample(self, k: int) -> ApproxSample:
+        """Sample k, the representative at i = k + 1 divided by its gcd; its
+        fields hold the ``ApproxSample`` checks by construction."""
+        coords, j, p, g = self.target.coords, self._j, self.place.prime, self._gcds[k]
+        if p is None:
+            rep = [(k + 1) * c for c in coords]
+            rep[j] += 1
+        else:
+            rep = list(coords)
+            rep[j] += p ** (k + 1)
+        if g != 1:
+            rep = [c // g for c in rep]
+        h = self.heights[k] ** self.m
+        num, den = self.nums[k], self.dens[k]
+        return tuple.__new__(ApproxSample, (tuple(rep), h, num, den, _ratio(h, num, den)))
+
+
 def best_sequence_on_line(
     target: RationalProjectivePoint,
     place: PlaceSpec,
     count: int,
     m: int = 1,
-) -> list[ApproxSample]:
+) -> ApproxLine:
     """Deterministic approximating sequence on a line through the target P.
 
     The direction is e_j for the first j with P_k != 0 for some k != j, so
@@ -336,10 +475,18 @@ def best_sequence_on_line(
         dist_i = max_{k!=j} |P_k| / (max |i*P + e_j| * max |P|),
     since the gcd g_i of the representative cancels; at p
         dist_i = p^-(i + v_p(gcd_{k!=j} P_k)),
-    since p does not divide g_i, P being primitive.  The representative
-    divided by g_i is primitive with its first nonzero entry positive, and
-    the distance is reduced, so the sample is built without the checks of
-    the ``ApproxSample`` constructor.
+    since p does not divide g_i, P being primitive.  The columns are built
+    in line order by maps over whole columns, with no tuple per sample.
+
+    The points are pairwise distinct, so the line needs no repeated-point
+    check: P and e_j are independent, so a multiple of i*P + e_j equal to
+    i'*P + e_j has e_j-coefficient 1 and i = i', and one of P + p^i e_j
+    equal to P + p^i' e_j has P-coefficient 1 and p^i = p^i'.  The
+    distances strictly decrease with i: at p the exponent i + v grows, and
+    at inf max |i*P + e_j| grows, since each |i*P_k + [k = j]| with
+    P_k != 0 grows by |P_k|; if the maximum is the 1 of a zero P_j, then
+    every |i*P_k| with k != j is at most 1, so i = 1, and at i = 2 one of
+    them is 2.
     """
     if count < 10:
         raise TooFewPoints(f"need at least 10 points, got {count}")
@@ -350,49 +497,43 @@ def best_sequence_on_line(
     # e_j is proportional to the target only when the target is supported on {j}.
     j = next(j for j in range(n) if any(coords[k] for k in range(n) if k != j))
     others = [c for k, c in enumerate(coords) if k != j]
-    new = tuple.__new__
-    samples = []
     p = place.prime
     if p is None:
-        cross = max(map(abs, others))
+        # |i*P_k + [k = j]| = a_k + (i - 1)*|P_k| with a_k = |P_k + [k = j]|,
+        # since i*|P_k| >= 1 keeps the sign of P_k when P_k != 0
+        firsts = [abs(c + (k == j)) for k, c in enumerate(coords)]
+        columns = [range(a, a + count * abs(c), abs(c)) if c else [a] * count for a, c in zip(firsts, coords)]
+        gcds = list(map(math.gcd, *columns))
+        # a_k <= |P_k| + 1, so from i = 2 on a coordinate of the largest |P_k|
+        # attains max |i*P + e_j|: the one of them with the largest a_k
         size = max(map(abs, coords))
-        for i in range(1, count + 1):
-            rep = [i * c for c in coords]
-            rep[j] += 1
-            g = math.gcd(*rep)
-            h = top = max(map(abs, rep))
-            if g != 1:
-                rep = [c // g for c in rep]
-                h //= g
-            if m != 1:
-                h **= m
-            den = top * size
-            d = math.gcd(cross, den)
-            num, den = cross // d, den // d
-            samples.append(new(ApproxSample, (tuple(rep), h, num, den, _ratio(h, num, den))))
+        lead = max(a for a, c in zip(firsts, coords) if abs(c) == size)
+        tops = [max(firsts), *range(lead + size, lead + count * size, size)]
+        heights = list(map(operator.floordiv, tops, gcds))
+        cross = max(map(abs, others))
+        raw = list(map(operator.mul, tops, repeat(size)))
+        cancel = list(map(math.gcd, raw, repeat(cross)))
+        nums = list(map(operator.floordiv, repeat(cross), cancel))
+        dens = list(map(operator.floordiv, raw, cancel))
     else:
         # only the j-th coordinate moves: the others' gcd and height are constant
         common = math.gcd(*others)
         top = max(map(abs, others))
         scale = p ** _valuation(common, p)
-        rep = list(coords)
-        step = 1
-        for _ in range(count):
-            step *= p
-            x = rep[j] = coords[j] + step
-            g = math.gcd(common, x)
-            h = max(top, abs(x))
-            if g == 1:
-                point = tuple(rep)
-            else:
-                point = tuple(c // g for c in rep)
-                h //= g
-            if m != 1:
-                h **= m
-            den = step if scale == 1 else step * scale
-            # _ratio(h, 1, den), whose -log(1/den) is exactly log(den) > 0
-            samples.append(new(ApproxSample, (point, h, 1, den, math.log(h) / math.log(den))))
-    return samples
+        steps = list(accumulate(repeat(p, count), operator.mul))
+        moved = list(map(operator.add, steps, repeat(coords[j])))
+        tops = list(map(abs, moved))
+        # |P_j + p^i| >= p^i - |P_j| >= top once p^i >= top + |P_j|
+        below = bisect_left(steps, top + abs(coords[j]))
+        tops[:below] = map(max, repeat(top), tops[:below])
+        if common == 1:
+            gcds, heights = [1] * count, tops
+        else:
+            gcds = list(map(math.gcd, moved, repeat(common)))
+            heights = list(map(operator.floordiv, tops, gcds))
+        nums = [1] * count
+        dens = steps if scale == 1 else list(map(operator.mul, steps, repeat(scale)))
+    return ApproxLine(target, place, j, m, gcds, heights, nums, dens)
 
 
 class AlphaEstimate(NamedTuple):
@@ -405,36 +546,35 @@ class AlphaEstimate(NamedTuple):
     tail_count: int
 
 
-_HEIGHT = operator.attrgetter("height")
-_DISTANCE = operator.attrgetter("distance")
-_DISTANCE_PAIR = operator.attrgetter("dist_num", "dist_den")
-_RATIO = operator.attrgetter("ratio")
-_COORDS = operator.attrgetter("coords")
+def _columns(samples: Sequence[ApproxSample]) -> _Columns:
+    """A line as it is; any other sequence of samples as its columns."""
+    if isinstance(samples, ApproxLine):
+        return samples
+    heights, nums, dens, ratios = (
+        list(map(operator.attrgetter(name), samples)) for name in ("height", "dist_num", "dist_den", "ratio")
+    )
+    return _Columns(heights, 1, nums, dens, ratios)
 
 
-def _by_height_then_distance(samples: Sequence[ApproxSample]) -> list[ApproxSample]:
-    """Samples by ascending height, and at equal height by descending distance.
-
-    One stable sort on the integer height, then a stable sort by descending
-    distance of each run of equal heights: the order of the key
-    (height, -distance), ties included.  Distances are built as Fractions
-    and compared only inside such runs, so a list whose heights are all
-    distinct builds none.
-    """
-    ordered = sorted(samples, key=_HEIGHT)
-    heights = list(map(_HEIGHT, ordered))
-    if not any(map(operator.eq, heights, heights[1:])):
-        return ordered
-    return [s for _, run in groupby(ordered, _HEIGHT) for s in sorted(run, key=_DISTANCE, reverse=True)]
+def _check_distinct(samples: Sequence[ApproxSample], order: Sequence[int]) -> None:
+    """Raise NotConverging at the first point, in the order, seen before."""
+    coords = list(map(operator.attrgetter("coords"), samples))
+    if len(set(coords)) < len(coords):
+        seen = set()
+        for k in order:
+            if coords[k] in seen:
+                raise NotConverging(f"repeated point {samples[k].point}")
+            seen.add(coords[k])
 
 
-def _min_distance(samples: Sequence[ApproxSample]) -> tuple[int, int]:
-    """The least distance of the samples as a (numerator, denominator) pair.
+def _min_distance(columns: _Columns, indices: Sequence[int]) -> tuple[int, int]:
+    """The least distance of the indexed samples as a (numerator,
+    denominator) pair.
 
     Denominators are positive, so a/b < c/d exactly when a*d < c*b: the
     integers are compared, never the Fractions.
     """
-    pairs = map(_DISTANCE_PAIR, samples)
+    pairs = zip(_take(columns.nums, indices), _take(columns.dens, indices))
     num, den = next(pairs)
     for n, d in pairs:
         if n * den < num * d:
@@ -464,35 +604,37 @@ def alpha_estimate(
     Samples are ordered by height.  Convergence check: the running minimum
     of the distances must keep improving (the tail's minimum distance is
     strictly below the head's), otherwise the sequence is rejected as not
-    converging (a non-converging sequence has constant infinity).
+    converging (a non-converging sequence has constant infinity).  A
+    repeated point is rejected too, except on a line, whose points are
+    distinct (see ``best_sequence_on_line``).
     """
     if len(samples) < 10:
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
     start = _tail_start(len(samples), tail_fraction)
-    ordered = _by_height_then_distance(samples)
-    coords = list(map(_COORDS, ordered))
-    if len(set(coords)) < len(coords):
-        seen = set()
-        for s in ordered:
-            if s.coords in seen:
-                raise NotConverging(f"repeated point {s.point}")
-            seen.add(s.coords)
-    half = len(ordered) // 2
-    head_num, head_den = _min_distance(ordered[:half])
-    tail_num, tail_den = _min_distance(ordered[half:])
-    if tail_num * head_den >= head_num * tail_den:
+    columns = _columns(samples)
+    order = columns.order
+    half = len(order) // 2
+    if columns is samples:
+        # the points of a line are distinct and its distances strictly
+        # decrease along it, so each half's least distance is at its last index
+        converging = max(order[half:]) > max(order[:half])
+    else:
+        _check_distinct(samples, order)
+        head_num, head_den = _min_distance(columns, order[:half])
+        tail_num, tail_den = _min_distance(columns, order[half:])
+        converging = tail_num * head_den < head_num * tail_den
+    if not converging:
         raise NotConverging("distances do not decrease along the sequence")
-    tail = list(filter(math.isfinite, map(_RATIO, ordered[start:])))
+    tail = sorted(filter(math.isfinite, columns.tail_ratios(start)))
     if not tail:
         raise NotConverging("no finite ratios in the tail")
-    tail.sort()
     mid = len(tail) // 2
     median = tail[mid] if len(tail) % 2 else (tail[mid - 1] + tail[mid]) / 2
     return AlphaEstimate(
         estimate=median,
         tail_min=tail[0],
         tail_max=tail[-1],
-        sample_count=len(ordered),
+        sample_count=len(order),
         tail_count=len(tail),
     )
 
@@ -518,24 +660,21 @@ def boundedness_trend(
     is in the bounded set); one above TREND_THRESHOLD means it is
     unbounded.  The interval structure of the bounded set makes this
     monotone in gamma.  The samples are ordered as in ``alpha_estimate``,
-    so both read the same tail.
+    so both read the same tail, and on a line the same logarithms.
     """
     if len(samples) < 10:
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
     start = _tail_start(len(samples), tail_fraction)
-    ordered = _by_height_then_distance(samples)
-    xs, ys = [], []
-    for s in ordered[start:]:
-        x = math.log(s.height)
-        ys.append(x + gamma * (math.log(s.dist_num) - math.log(s.dist_den)))
-        xs.append(x)
+    xs, log_dist = _columns(samples).tail_logs(start)
+    ys = list(map(operator.add, xs, map(operator.mul, repeat(gamma), log_dist)))
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
-    var = sum((x - mean_x) ** 2 for x in xs)
+    dx = list(map(operator.sub, xs, repeat(mean_x)))
+    var = sum(map(pow, dx, repeat(2)))
     if var == 0:
         raise NotConverging("heights do not grow along the tail")
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / var
+    slope = sum(map(operator.mul, dx, map(operator.sub, ys, repeat(mean_y)))) / var
     if not math.isfinite(slope):
         raise BadArgs(f"the trend at gamma {gamma} has a non-finite slope ({slope})")
     if slope < -TREND_THRESHOLD:

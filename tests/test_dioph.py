@@ -1,4 +1,6 @@
+import io
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import oracles
@@ -6,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lieapprox.cli import main
 from lieapprox.dioph import (
     PRIME_BOUND,
     AlphaEstimate,
+    ApproxLine,
     ApproxSample,
     PlaceSpec,
     RationalProjectivePoint as Point,
-    _by_height_then_distance,
+    _height_order,
     _is_prime,
     _ratio,
     _valuation,
@@ -301,6 +305,43 @@ def test_line_samples_match_make_sample(target, prime, count, m):
         assert sample.ratio == general or math.isnan(sample.ratio) and math.isnan(general)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    _line_target(),
+    st.sampled_from([None, 2, 3, 5, 7, 11]),
+    st.integers(10, 60),
+    st.integers(1, 3),
+)
+def test_line_points_are_distinct_and_distances_decrease(target, prime, count, m):
+    # alpha_estimate skips the repeated-point check on a line and reads each
+    # half's least distance at its last index; these facts make that exact
+    line = best_sequence_on_line(target, PlaceSpec(prime), count, m)
+    samples = list(line)
+    assert len({s.coords for s in samples}) == count
+    assert all(a.distance > b.distance for a, b in zip(samples, samples[1:]))
+    try:
+        expected = alpha_estimate(samples)
+    except NotConverging as exc:
+        with pytest.raises(NotConverging, match=str(exc)):
+            alpha_estimate(line)
+    else:
+        assert alpha_estimate(line) == expected
+
+
+def test_a_line_is_a_read_only_sequence_of_samples():
+    line = best_sequence_on_line(Point((3, -2, 5)), PlaceSpec(3), 20, m=2)
+    samples = list(line)
+    assert isinstance(line, ApproxLine) and len(line) == 20
+    assert [line[k] for k in range(-20, 20)] == samples + samples
+    assert line[-3:] == samples[-3:] and line[::-1] == samples[::-1]
+    assert all(type(s) is ApproxSample for s in line[:2])
+    for index in (20, -21):
+        with pytest.raises(IndexError):
+            line[index]
+    with pytest.raises(TypeError):
+        line[1] = samples[0]
+
+
 def test_alpha_estimate_closed_form_line():
     seq = best_sequence_on_line(P10, INF, 1000, m=1)
     est = alpha_estimate(seq)
@@ -352,7 +393,17 @@ def test_alpha_estimate_rejects_non_converging():
     scaled = ApproxSample(tuple(3 * c for c in last.coords), *last[1:])
     assert scaled == last
     with pytest.raises(NotConverging, match="repeated point"):
-        alpha_estimate(repeated + [scaled])
+        alpha_estimate([*repeated, scaled])
+
+
+def test_a_height_below_one_is_refused_where_the_sample_is_built():
+    # A first sample of height 0 once reached the trend, whose log(0) raised
+    # a bare ValueError ("math domain error").
+    rows = [(h, 1, 2 ** (h + 1), h / (h + 1)) for h in range(20)]
+    with pytest.raises(BadArgs, match="a sample height must be at least 1, got 0"):
+        [ApproxSample((1, k), *row) for k, row in enumerate(rows)]
+    samples = [ApproxSample((1, k), h + 1, *rest) for k, (h, *rest) in enumerate(rows)]
+    assert boundedness_trend(samples, 1.0, tail_fraction=1.0).verdict == "bounded"
 
 
 def test_alpha_estimate_tail_fraction_validation():
@@ -385,6 +436,12 @@ def test_tail_fraction_is_validated_by_both_estimators(name, tail):
 _THIRDS_AND_HALVES = sorted({Fraction(k, d) for d in range(1, 4) for k in range(d + 1)})
 
 
+def _ordered(samples):
+    """The samples in the index order of ``_height_order``."""
+    columns = ([s.height for s in samples], [s.dist_num for s in samples], [s.dist_den for s in samples])
+    return [samples[k] for k in _height_order(*columns)]
+
+
 @settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(_THIRDS_AND_HALVES)), max_size=30))
 def test_sample_order_matches_the_height_minus_distance_key(pairs):
@@ -394,7 +451,7 @@ def test_sample_order_matches_the_height_minus_distance_key(pairs):
         ApproxSample((1, k), h, d.numerator, d.denominator, 0.0) for k, (h, d) in enumerate(pairs)
     ]
     expected = sorted(samples, key=lambda s: (s.height, -s.distance))
-    assert _by_height_then_distance(samples) == expected
+    assert _ordered(samples) == expected
 
 
 #: The distances in (0, 1] with denominators up to 4.
@@ -468,6 +525,10 @@ def test_alpha_estimate_makes_no_fraction_comparison_on_a_tie_free_line(prime, m
     assert calls == []
 
 
+#: A tie-free line of 2000 points at 2, whose last point holds 3 + 2^2000.
+_ALPHA_2000 = ["alpha", "--P", "3:-2:5", "--count", "2000", "--place", "2"]
+
+
 @pytest.mark.parametrize("prime", [None, 2])
 def test_a_tie_free_line_builds_no_fraction(prime, monkeypatch):
     # Samples store their distance as two integers: building the line, the
@@ -481,8 +542,28 @@ def test_a_tie_free_line_builds_no_fraction(prime, monkeypatch):
     samples = best_sequence_on_line(Point((3, -2, 5)), place, 300)[::-1]
     alpha_estimate(samples)
     boundedness_trend(samples, 1.0)
+    with redirect_stdout(io.StringIO()):
+        assert main(_ALPHA_2000 + ["--gamma", "1", "--format", "json"]) == 0
     assert calls == []
     assert len({s.height for s in samples}) == len(samples)
+
+
+@pytest.mark.parametrize("fmt, built", [("json", 0), ("text", 3)])
+def test_the_cli_builds_only_the_samples_it_prints(fmt, built, monkeypatch):
+    # The estimate and the trends read the line's columns; text mode prints
+    # the last three samples, and JSON mode none.
+    calls = []
+    take, new = ApproxLine._sample, ApproxSample.__new__
+    monkeypatch.setattr(ApproxLine, "_sample", lambda line, k: calls.append(k) or take(line, k))
+    monkeypatch.setattr(ApproxSample, "__new__", lambda cls, *args: calls.append(args) or new(cls, *args))
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(_ALPHA_2000 + ["--gamma", "1", "--gamma", "2", "--format", fmt]) == 0
+    assert calls == [1997, 1998, 1999][:built]
+    shown = out.getvalue().splitlines()
+    if fmt == "json":
+        assert len(shown) == 22 and '  "estimate": 1.0,' in shown
+    else:
+        assert len(shown) == 7 and shown[4] == "alpha estimate 1.000000 (tail of 1000: min 1.000000, max 1.000000)"
 
 
 # -- the boundedness dichotomy ------------------------------------------------------
@@ -527,8 +608,8 @@ def test_trend_reads_the_same_tail_as_the_estimate():
         ApproxSample((1, k), h, 1, den, math.log(h) / math.log(den))
         for k, (h, den) in enumerate(rows)
     ]
-    assert sorted(samples, key=lambda s: s.height)[5:] != _by_height_then_distance(samples)[5:]
-    tail = _by_height_then_distance(samples)[5:]
+    assert sorted(samples, key=lambda s: s.height)[5:] != _ordered(samples)[5:]
+    tail = _ordered(samples)[5:]
     assert [(s.height, s.distance) for s in tail[:2]] == [(6, Fraction(1, 64)), (7, Fraction(1, 49))]
     xs = [math.log(s.height) for s in tail]
     ys = [x - math.log(s.distance.denominator) for x, s in zip(xs, tail)]

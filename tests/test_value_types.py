@@ -246,6 +246,12 @@ VALIDATIONS = [
      "a sample distance must be a ratio of integers, got 0.5/2"),
     (lambda: _SAMPLE._replace(dist_den=0), BadArgs, "a sample distance needs a nonzero denominator, got 1/0"),
     (lambda: _SAMPLE._replace(coords=(0, 0)), BadArgs, "the zero vector is not a projective point"),
+    (lambda: ApproxSample((1, 2), "x", 1, 2, "r"), BadArgs, "a sample height must be an integer, got 'x'"),
+    (lambda: ApproxSample((1, 2), 2.0, 1, 2, 0.5), BadArgs, "a sample height must be an integer, got 2.0"),
+    (lambda: ApproxSample((1, 2), 0, 1, 2, 0.5), BadArgs, "a sample height must be at least 1, got 0"),
+    (lambda: ApproxSample((1, 2), -3, 1, 2, 0.5), BadArgs, "a sample height must be at least 1, got -3"),
+    (lambda: _SAMPLE._replace(height=0), BadArgs, "a sample height must be at least 1, got 0"),
+    (lambda: _SAMPLE._replace(height=1.5), BadArgs, "a sample height must be an integer, got 1.5"),
 ]
 
 
