@@ -2,7 +2,10 @@
 queries for arbitrary types and nef divisors, and the approximation lab.
 
 It parses arguments, selects types, serializes reports and checks goldens;
-``tables`` builds the reports.  Each format has one serializer:
+``tables`` builds the reports.  Each command line is parsed once, by its
+subcommand's parser; the top-level parser serves the help and the usage
+errors (no command, an unknown one, an option before the command, or
+arguments the subcommand does not know).  Each format has one serializer:
 ``TABLE_FORMATS`` for a ``Table`` and ``VERIFY_FORMATS`` for verify rows,
 which share the CSV and JSON helpers.  A golden file is named
 ``{table}_{selector}_{format}.golden``, the selector being ``all``
@@ -103,8 +106,14 @@ def _selected_types(selector: str, ceiling: int) -> list[SimpleType]:
 _LATEX_SPLIT = 4
 
 
+#: One encoder for every JSON document.  The payloads are trees, freshly
+#: built by ``to_dict`` and the commands from lists, dicts, strings and
+#: numbers, so no payload can hold a cycle and the cycle check is skipped.
+_ENCODER = json.JSONEncoder(indent=2, check_circular=False)
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _ENCODER.encode(payload) + "\n"
 
 
 def _csv(header, records) -> str:
@@ -367,9 +376,9 @@ RANK_MAX_HELP = (
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    ``main`` call in the process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built on
+    first use and shared by every later ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="lieapprox",
         description="Exact verification of root-curve approximation bounds "
@@ -419,11 +428,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_alpha.add_argument("--format", choices=("text", "json"), default="text")
     p_alpha.set_defaults(func=cmd_alpha)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser, shared by every ``main`` call."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit code.
+
+    A command line that starts with a subcommand is parsed once, by that
+    subcommand's parser; arguments it does not know are reported by the
+    top-level parser, as argparse reports them itself.  Every other command
+    line (empty, help, an unknown command, an option before the command)
+    goes to the top-level parser, which prints the help or the usage error.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except EngineError as exc:

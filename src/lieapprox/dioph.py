@@ -66,10 +66,10 @@ the order on the line for every later read.  The m-th powers, the
 logarithms and the ratios are computed for the tail only, and the
 estimate and every trend of that tail share the logarithms; log(dist) is
 log(numerator) - log(denominator).  A line's points are distinct and its
-distances strictly decrease along it, so the estimate reads the least
-distance of each half at its last index; any other sequence is checked
-for repeated points, and its least distances are found by comparing the
-integer cross products numerator * denominator.  So on a line whose
+distances go to 0, so the estimate checks neither on a line; any other
+sequence is checked for repeated points and for a tail whose least
+distance is below the head's, found by comparing the integer cross
+products numerator * denominator.  So on a line whose
 heights are all distinct, as they are for every target in P^1 or P^2
 with coordinates of at most 3, neither builds a Fraction.
 """
@@ -273,13 +273,15 @@ class ApproxSample(_ApproxSampleFields):
     """One approximation to a target, stored as integers and one float: the
     point's coordinates (primitive, first nonzero entry positive), its
     height, its distance dist_num / dist_den in lowest terms with
-    dist_den > 0, and the ratio log(height)/(-log(distance)).  ``point``
-    and ``distance`` are views built when read.
+    dist_den > 0 and dist_num > 0, and the ratio
+    log(height)/(-log(distance)).  ``point`` and ``distance`` are views
+    built when read.
 
     The constructor and ``_replace`` check the fields: the coordinates are
     normalised as by ``RationalProjectivePoint``, the height must be an
     integer of at least 1, the distance is reduced, and a zero denominator
-    or a negative distance raises BadArgs.  Only ``ApproxLine``, whose
+    or a negative or zero distance raises BadArgs (a zero distance is the
+    target itself, as ``make_sample`` says).  Only ``ApproxLine``, whose
     fields hold this by construction, skips the check."""
 
     __slots__ = ()
@@ -302,6 +304,8 @@ class ApproxSample(_ApproxSampleFields):
         num, den = num // g, den // g
         if num < 0:
             raise BadArgs(f"a sample distance cannot be negative, got {num}/{den}")
+        if num == 0:
+            raise BadArgs("sample point coincides with the target")
         return super().__new__(cls, coords, height, num, den, ratio)
 
     @classmethod
@@ -601,30 +605,35 @@ def alpha_estimate(
 ) -> AlphaEstimate:
     """Median of the height/distance log-ratio over the tail of the sequence.
 
-    Samples are ordered by height.  Convergence check: the running minimum
-    of the distances must keep improving (the tail's minimum distance is
-    strictly below the head's), otherwise the sequence is rejected as not
-    converging (a non-converging sequence has constant infinity).  A
-    repeated point is rejected too, except on a line, whose points are
-    distinct (see ``best_sequence_on_line``).
+    Samples are ordered by height.  Convergence check: the tail's least
+    distance must be strictly below the head's, otherwise the sequence is
+    rejected as not converging (a non-converging sequence has constant
+    infinity), and so is a sequence with a repeated point.
+
+    A line (``ApproxLine``) skips both checks: its points are distinct (see
+    ``best_sequence_on_line``), and its distances go to 0.  At a prime p the
+    i-th distance is p^-(i + v) with v fixed.  At inf it is
+    max_{k!=j} |P_k| / (max |i*P + e_j| * max |P|), a fixed numerator over
+    max |i*P + e_j| >= i * max |P| - 1, which grows linearly in i.  The
+    head-and-tail test is no proof of that on a line: the gcd g_i of the
+    representative varies with i, so a point of small height can hold a
+    small distance and sort into the head, as at i = 37 on (3 : 4), where
+    g_i = 4.  Nor can a line's tail lack a finite ratio: its distance is
+    below 1 from i = 2 on, so only its first sample's ratio can be
+    infinite or NaN, and a tail holds at least 2 samples.
     """
     if len(samples) < 10:
         raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
     start = _tail_start(len(samples), tail_fraction)
     columns = _columns(samples)
     order = columns.order
-    half = len(order) // 2
-    if columns is samples:
-        # the points of a line are distinct and its distances strictly
-        # decrease along it, so each half's least distance is at its last index
-        converging = max(order[half:]) > max(order[:half])
-    else:
+    if columns is not samples:
         _check_distinct(samples, order)
+        half = len(order) // 2
         head_num, head_den = _min_distance(columns, order[:half])
         tail_num, tail_den = _min_distance(columns, order[half:])
-        converging = tail_num * head_den < head_num * tail_den
-    if not converging:
-        raise NotConverging("distances do not decrease along the sequence")
+        if tail_num * head_den >= head_num * tail_den:
+            raise NotConverging("distances do not decrease along the sequence")
     tail = sorted(filter(math.isfinite, columns.tail_ratios(start)))
     if not tail:
         raise NotConverging("no finite ratios in the tail")

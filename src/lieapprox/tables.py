@@ -196,11 +196,22 @@ class RowAudit(NamedTuple):
 
 
 def _audit(label: str, quantity: str, printed: tuple[int, ...], computed: tuple[int, ...], uses_traversal: bool) -> RowAudit:
+    """Compare the rows cell by cell and as multisets.
+
+    Equal rows have no difference.  Otherwise a cell that matches adds the
+    same value to both multisets and cancels, so the multiset differences
+    are taken over the mismatched cells and the longer row's tail only.
+    """
+    if printed == computed:
+        return RowAudit(label, quantity, printed, computed, (), (), (), uses_traversal)
     mism = tuple(i + 1 for i, (p, c) in enumerate(zip(printed, computed)) if p != c)
-    diff = Counter(printed) - Counter(computed)
-    only_printed = tuple(sorted(diff.elements()))
-    diff = Counter(computed) - Counter(printed)
-    only_computed = tuple(sorted(diff.elements()))
+    shared = min(len(printed), len(computed))
+    left = Counter(printed[shared:])
+    right = Counter(computed[shared:])
+    left.update(printed[i - 1] for i in mism)
+    right.update(computed[i - 1] for i in mism)
+    only_printed = tuple(sorted((left - right).elements()))
+    only_computed = tuple(sorted((right - left).elements()))
     return RowAudit(label, quantity, printed, computed, mism, only_printed, only_computed, uses_traversal)
 
 

@@ -13,11 +13,15 @@ stable sorts, ``min`` over the Fraction distances and a seen-set loop.  It
 reads the samples' ``point``, ``height``, ``distance`` and ``ratio`` only,
 and raises ``EstimatorError`` carrying the name of the engine's exception
 class, so a test can compare classes by name and messages as text.
+
+``row_audit`` is the table audit in its plain form: the positions where two
+rows differ, and the multiset differences of the whole rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 #: Dual Coxeter number h^vee = 1 + the sum of the comarks.
 DUAL_COXETER_NUMBER = {
@@ -135,10 +139,13 @@ class EstimatorError(Exception):
         self.kind = kind
 
 
-def alpha_estimate(samples, tail_fraction: float = 0.5) -> tuple:
+def alpha_estimate(samples, tail_fraction: float = 0.5, check_convergence: bool = True) -> tuple:
     """(estimate, tail_min, tail_max, sample_count, tail_count): the median
     of the finite ratios over the last ``tail_fraction`` of the samples
-    ordered by height, then by descending distance."""
+    ordered by height, then by descending distance.
+
+    ``check_convergence=False`` skips the repeated-point and decreasing
+    distance checks, which the engine proves, rather than tests, on a line."""
     if len(samples) < 10:
         raise EstimatorError("TooFewPoints", f"need at least 10 samples, got {len(samples)}")
     if not 0 < tail_fraction <= 1:
@@ -152,19 +159,32 @@ def alpha_estimate(samples, tail_fraction: float = 0.5) -> tuple:
         )
     ordered = sorted(samples, key=lambda s: s.distance, reverse=True)
     ordered.sort(key=lambda s: s.height)
-    seen = set()
-    for s in ordered:
-        if s.point.coords in seen:
-            raise EstimatorError("NotConverging", f"repeated point {s.point}")
-        seen.add(s.point.coords)
-    half = len(ordered) // 2
-    head_min = min(s.distance for s in ordered[:half])
-    tail_min = min(s.distance for s in ordered[half:])
-    if tail_min >= head_min:
-        raise EstimatorError("NotConverging", "distances do not decrease along the sequence")
+    if check_convergence:
+        seen = set()
+        for s in ordered:
+            if s.point.coords in seen:
+                raise EstimatorError("NotConverging", f"repeated point {s.point}")
+            seen.add(s.point.coords)
+        half = len(ordered) // 2
+        head_min = min(s.distance for s in ordered[:half])
+        tail_min = min(s.distance for s in ordered[half:])
+        if tail_min >= head_min:
+            raise EstimatorError("NotConverging", "distances do not decrease along the sequence")
     tail = sorted(s.ratio for s in ordered[start:] if math.isfinite(s.ratio))
     if not tail:
         raise EstimatorError("NotConverging", "no finite ratios in the tail")
     mid = len(tail) // 2
     median = tail[mid] if len(tail) % 2 else (tail[mid - 1] + tail[mid]) / 2
     return (median, tail[0], tail[-1], len(ordered), len(tail))
+
+
+def row_audit(printed, computed) -> tuple:
+    """(mismatch_positions, only_printed, only_computed) of a printed table
+    row against a computed one: the 1-based positions, among those both
+    rows have, where the cells differ, and the sorted multiset differences
+    printed minus computed and computed minus printed."""
+    positions = tuple(
+        pos for pos in range(1, min(len(printed), len(computed)) + 1) if printed[pos - 1] != computed[pos - 1]
+    )
+    left, right = Counter(printed), Counter(computed)
+    return positions, tuple(sorted((left - right).elements())), tuple(sorted((right - left).elements()))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, main, verify_json
+from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, build_parser, main, verify_json
+from lieapprox.errors import EngineError
 from lieapprox.rootsys import SimpleType, supported_types
 from lieapprox.tables import dims_table, verification_rows
 
@@ -332,6 +334,10 @@ _ALPHA_GOLDENS = [
     # the tail starts at index 1, between the two height-4 samples: the larger
     # distance is read first, so only (4 : 1 : 4) is in the tail of both estimators
     ("alpha_P2_2_tail_split", ["--P", "0:1:4", "--place", "2", "--count", "40", "--tail", "0.975", "--gamma", "1"]),
+    # (112 : 148) at i = 37 has gcd 4: at height 37 it sorts into the head
+    # although it holds the line's least distance, so a head-and-tail
+    # convergence test would refuse this line
+    ("alpha_P1_inf_gcd_jump", ["--P", "3:4", "--count", "37"]),
 ]
 
 
@@ -411,6 +417,78 @@ def test_alpha_padic_place(capsys):
     assert main(["alpha", "--P", "1:0", "--place", "2", "--count", "40"]) == 0
     out = capsys.readouterr().out
     assert "alpha estimate 1.0" in out
+
+
+# -- dispatch: each command line is parsed once ----------------------------------
+
+
+def _reference_main(argv):
+    """``main`` with every command line parsed by the top-level parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+_DISPATCH_ARGVS = [
+    # the benchmark workloads' shapes: sweep, sections, lab
+    ["verify", "--types", "A6", "--format", "text"],
+    ["tables", "rootcurves", "--types", "B3", "--format", "latex"],
+    ["tables", "dims", "--types", "exceptional", "--format", "json"],
+    ["verify", "--mode", "h0", "--types", "C3", "--format", "csv"],
+    ["bound", "--type", "A1xC2xA1", "--divisor", "3,3,1,1", "--format", "json"],
+    ["alpha", "--P", "3:2:-3", "--place", "3", "--count", "110", "--m", "2", "--gamma", "1.0", "--gamma", "2.0",
+     "--format", "json"],
+    ["alpha", "--P", "0:1:-2", "--place", "inf", "--count", "25", "--m", "1", "--format", "text"],
+    # help and usage errors
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["bogus"],
+    ["alpha"],
+    ["verify", "-h"],
+    ["alpha", "--P", "1:0", "--bogus", "x"],
+    ["alpha", "--P", "1:0", "--he"],
+    ["tables", "dims", "--format", "pdf"],
+    ["--P=-1:2"],
+    ["alpha", "--count", "20", "--P=-1:2"],
+    ["verify", "--types", "A3", "--curve", "line"],
+    ["tables", "dims", "--rank-max", "0"],
+    ["tables", "dims", "--types", "G2", "--", "extra"],
+    ["-h", "verify"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=" ".join)
+def test_dispatch_matches_a_top_level_parse(argv, monkeypatch):
+    monkeypatch.setenv(MAX_RANK_ENV, "12")
+    assert _outcome(main, argv) == _outcome(_reference_main, argv)
+
+
+def test_a_valid_command_line_is_parsed_once(monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_known_args",
+        lambda parser, *args, **kw: calls.append(parser.prog) or parse(parser, *args, **kw),
+    )
+    for argv in (["tables", "dims", "--types", "G2"], ["alpha", "--P", "1:2", "--count", "20", "--format", "json"]):
+        calls.clear()
+        assert _outcome(main, argv)[2] == 0
+        assert calls == [f"lieapprox {argv[0]}"]
 
 
 # -- renderer sanity -----------------------------------------------------------

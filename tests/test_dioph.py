@@ -313,19 +313,40 @@ def test_line_samples_match_make_sample(target, prime, count, m):
     st.integers(1, 3),
 )
 def test_line_points_are_distinct_and_distances_decrease(target, prime, count, m):
-    # alpha_estimate skips the repeated-point check on a line and reads each
-    # half's least distance at its last index; these facts make that exact
+    # alpha_estimate checks neither repeated points nor decreasing distances
+    # on a line; these facts make that exact
     line = best_sequence_on_line(target, PlaceSpec(prime), count, m)
     samples = list(line)
     assert len({s.coords for s in samples}) == count
     assert all(a.distance > b.distance for a, b in zip(samples, samples[1:]))
+    assert tuple(alpha_estimate(line)) == oracles.alpha_estimate(samples, check_convergence=False)
+
+
+#: Targets whose representatives' gcd at inf varies with i, so that a point
+#: of small height can hold a small distance and sort into the head.  The
+#: head-and-tail test refuses (3 : 4) at every count from 13 that is 5 mod 8,
+#: and (8 : 7) at every count from 13 that is 6 mod 7.
+_GCD_JUMPS = [Point((3, 4)), Point((8, 7))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _line_target() | st.sampled_from(_GCD_JUMPS),
+    st.sampled_from([None, 2, 3, 5, 7, 11]),
+    st.integers(10, 300),
+    st.integers(1, 3),
+)
+@example(Point((3, 4)), None, 37, 1)  # the point at i = 37, (28 : 37), has gcd 4
+@example(Point((8, 7)), None, 20, 1)
+def test_no_line_raises_not_converging(target, prime, count, m):
+    # a line's distances go to 0 by construction, so it is never refused;
+    # the same samples as a list still take the head-and-tail test
+    line = best_sequence_on_line(target, PlaceSpec(prime), count, m)
+    assert alpha_estimate(line).sample_count == count
     try:
-        expected = alpha_estimate(samples)
+        alpha_estimate(list(line))
     except NotConverging as exc:
-        with pytest.raises(NotConverging, match=str(exc)):
-            alpha_estimate(line)
-    else:
-        assert alpha_estimate(line) == expected
+        assert str(exc) == "distances do not decrease along the sequence"
 
 
 def test_a_line_is_a_read_only_sequence_of_samples():
@@ -432,8 +453,8 @@ def test_tail_fraction_is_validated_by_both_estimators(name, tail):
 
 
 
-#: The distances in [0, 1] with denominators up to 3.
-_THIRDS_AND_HALVES = sorted({Fraction(k, d) for d in range(1, 4) for k in range(d + 1)})
+#: The distances in (0, 1] with denominators up to 3.
+_THIRDS_AND_HALVES = sorted({Fraction(k, d) for d in range(1, 4) for k in range(1, d + 1)})
 
 
 def _ordered(samples):

@@ -1,7 +1,10 @@
 from math import comb
 from pathlib import Path
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieapprox import tables
 from lieapprox.cli import TABLE_FORMATS
@@ -118,6 +121,46 @@ def test_d_family_spin_cells_flagged():
         assert audit.mismatch_positions == (n - 1, n)
         assert audit.only_printed == tuple(sorted((comb(2 * n, n - 1), comb(2 * n, n) // 2)))
         assert audit.only_computed == (2 ** (n - 1), 2 ** (n - 1))
+
+
+_CELL = st.integers(1, 4) | st.integers(1, 10**12)
+
+
+@st.composite
+def _row_pair(draw):
+    """A printed row and a computed one: equal, permuted, with some cells
+    changed, or of unequal length; small cells force repeated values."""
+    printed = draw(st.lists(_CELL, max_size=10))
+    kind = draw(st.sampled_from(["equal", "permuted", "changed", "unequal"]))
+    if kind == "equal":
+        computed = list(printed)
+    elif kind == "permuted":
+        computed = draw(st.permutations(printed))
+    elif kind == "changed":
+        computed = [draw(_CELL) if draw(st.booleans()) else c for c in printed]
+    else:
+        computed = printed[: draw(st.integers(0, len(printed)))] + draw(st.lists(_CELL, max_size=3))
+    if draw(st.booleans()):
+        printed, computed = computed, printed
+    return tuple(printed), tuple(computed)
+
+
+@settings(max_examples=300)
+@given(_row_pair(), st.booleans())
+def test_audit_matches_the_counter_oracle(rows, uses_traversal):
+    printed, computed = rows
+    audit = tables._audit("X1", "dims", printed, computed, uses_traversal)
+    mismatch_positions, only_printed, only_computed = oracles.row_audit(printed, computed)
+    assert audit._asdict() == {
+        "label": "X1",
+        "quantity": "dims",
+        "printed": printed,
+        "computed": computed,
+        "mismatch_positions": mismatch_positions,
+        "only_printed": only_printed,
+        "only_computed": only_computed,
+        "uses_traversal": uses_traversal,
+    }
 
 
 def test_descriptions_name_every_mismatch():

@@ -245,6 +245,9 @@ VALIDATIONS = [
     (lambda: ApproxSample((1, 2), 2, 0.5, 2, 0.5), BadArgs,
      "a sample distance must be a ratio of integers, got 0.5/2"),
     (lambda: _SAMPLE._replace(dist_den=0), BadArgs, "a sample distance needs a nonzero denominator, got 1/0"),
+    (lambda: ApproxSample((1, 2), 2, 0, 5, 0.5), BadArgs, "sample point coincides with the target"),
+    (lambda: ApproxSample((1, 2), 2, 0, -5, 0.5), BadArgs, "sample point coincides with the target"),
+    (lambda: _SAMPLE._replace(dist_num=0), BadArgs, "sample point coincides with the target"),
     (lambda: _SAMPLE._replace(coords=(0, 0)), BadArgs, "the zero vector is not a projective point"),
     (lambda: ApproxSample((1, 2), "x", 1, 2, "r"), BadArgs, "a sample height must be an integer, got 'x'"),
     (lambda: ApproxSample((1, 2), 2.0, 1, 2, 0.5), BadArgs, "a sample height must be an integer, got 2.0"),
@@ -269,7 +272,7 @@ def test_replace_normalises_a_projective_point():
 def test_a_sample_normalises_its_point_and_reduces_its_distance():
     sample = ApproxSample((-2, 4), 2, -2, -8, 0.5)
     assert (sample.coords, sample.dist_num, sample.dist_den) == ((1, -2), 1, 4)
-    assert _SAMPLE._replace(coords=(3, 6), dist_num=0, dist_den=-5) == ((1, 2), 2, 0, 1, 0.5)
+    assert _SAMPLE._replace(coords=(3, 6), dist_num=-3, dist_den=-15) == ((1, 2), 2, 1, 5, 0.5)
 
 
 def test_root_system_invariants_stay_cached():
