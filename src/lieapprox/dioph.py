@@ -59,19 +59,16 @@ primitive and reduced by the closed forms above, so it builds them with
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
 over a configurable tail, together with the tail extremes.  Both
-estimators read columns: a line's own, or those of any other sequence of
-samples.  They order the indices by the integer heights, compare
-distances, as Fractions, only between samples of equal height, and keep
-the order on the line for every later read.  The m-th powers, the
-logarithms and the ratios are computed for the tail only, and the
-estimate and every trend of that tail share the logarithms; log(dist) is
-log(numerator) - log(denominator).  A line's points are distinct and its
-distances go to 0, so the estimate checks neither on a line; any other
-sequence is checked for repeated points and for a tail whose least
-distance is below the head's, found by comparing the integer cross
-products numerator * denominator.  So on a line whose
-heights are all distinct, as they are for every target in P^1 or P^2
-with coordinates of at most 3, neither builds a Fraction.
+estimators take a line, and only a line, and read its columns.  The line
+orders its indices by the integer heights, compares distances, as
+Fractions, only between samples of equal height, and keeps that order for
+every later read.  The m-th powers, the logarithms and the ratios are
+computed for the tail only, and the estimate and every trend of that tail
+share the logarithms; log(dist) is log(numerator) - log(denominator).  A
+line's points are distinct and its distances go to 0, so the estimators
+check neither.  So on a line whose heights are all distinct, as they are
+for every target in P^1 or P^2 with coordinates of at most 3, neither
+builds a Fraction.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, groupby, islice, repeat
 from typing import NamedTuple
@@ -378,64 +375,27 @@ def _height_order(heights: list[int], nums: list[int], dens: list[int]) -> Seque
     return [k for _, run in groupby(order, heights.__getitem__) for k in sorted(run, key=distance, reverse=True)]
 
 
-class _Columns:
-    """Samples as columns, in their own order: the k-th has height
-    heights[k] ** m and distance nums[k] / dens[k], and its ratio is
-    ratios[k], or computed from those when ``ratios`` is None.
-
-    The order of ``_height_order`` is computed once, and so are the
-    logarithms of the heights and distances over the last tail read, which
-    the estimate and every trend of that tail share.
-    """
-
-    __slots__ = ("heights", "m", "nums", "dens", "ratios", "_order", "_tail")
-
-    def __init__(self, heights: list[int], m: int, nums: list[int], dens: list[int], ratios: list[float] | None):
-        self.heights, self.m, self.nums, self.dens, self.ratios = heights, m, nums, dens, ratios
-        self._order = self._tail = None
-
-    @property
-    def order(self) -> Sequence[int]:
-        if self._order is None:
-            self._order = _height_order(self.heights, self.nums, self.dens)
-        return self._order
-
-    def tail_logs(self, start: int) -> tuple[list[float], list[float]]:
-        """log(height) and log(dist) = log(num) - log(den) of the samples
-        from position ``start`` of the order on; the m-th powers are taken
-        only here."""
-        if self._tail is None or self._tail[0] != start:
-            tail = self.order[start:]
-            heights = _take(self.heights, tail)
-            if self.m != 1:
-                heights = map(pow, heights, repeat(self.m))
-            log_h = list(map(math.log, heights))
-            nums, dens = map(math.log, _take(self.nums, tail)), map(math.log, _take(self.dens, tail))
-            self._tail = (start, log_h, list(map(operator.sub, nums, dens)))
-        return self._tail[1:]
-
-    def tail_ratios(self, start: int) -> Iterable[float]:
-        if self.ratios is not None:
-            return _take(self.ratios, self.order[start:])
-        return map(_log_ratio, *self.tail_logs(start))
-
-
-class ApproxLine(_Columns, Sequence):
+class ApproxLine(Sequence):
     """The samples of ``best_sequence_on_line``, a read-only sequence stored
-    as integer columns in line order: base heights (before the m-th
-    power), reduced distances, and the gcd of each representative.
+    as integer columns in line order: the k-th sample has base height
+    heights[k] (before the m-th power), distance nums[k] / dens[k] and a
+    representative of gcd gcds[k].
 
     ``line[k]`` and slices build ``ApproxSample``s when read, with the
     point from the target and the gcd, the height's m-th power and the
-    ratio; a slice is a list.  The estimators read the columns.
+    ratio; a slice is a list.  The estimators read the columns.  The order
+    of ``_height_order`` is computed once, and so are the logarithms of the
+    heights and distances over the last tail read, which the estimate and
+    every trend of that tail share.
     """
 
-    __slots__ = ("target", "place", "_j", "_gcds")
+    __slots__ = ("target", "place", "m", "heights", "nums", "dens", "_j", "_gcds", "_order", "_tail")
 
     def __init__(self, target: RationalProjectivePoint, place: PlaceSpec, j: int, m: int, gcds: list[int],
                  heights: list[int], nums: list[int], dens: list[int]):
-        super().__init__(heights, m, nums, dens, None)
-        self.target, self.place, self._j, self._gcds = target, place, j, gcds
+        self.target, self.place, self._j, self.m, self._gcds = target, place, j, m, gcds
+        self.heights, self.nums, self.dens = heights, nums, dens
+        self._order = self._tail = None
 
     def __len__(self) -> int:
         return len(self.heights)
@@ -460,6 +420,26 @@ class ApproxLine(_Columns, Sequence):
         h = self.heights[k] ** self.m
         num, den = self.nums[k], self.dens[k]
         return tuple.__new__(ApproxSample, (tuple(rep), h, num, den, _ratio(h, num, den)))
+
+    @property
+    def order(self) -> Sequence[int]:
+        if self._order is None:
+            self._order = _height_order(self.heights, self.nums, self.dens)
+        return self._order
+
+    def tail_logs(self, start: int) -> tuple[list[float], list[float]]:
+        """log(height) and log(dist) = log(num) - log(den) of the samples
+        from position ``start`` of the order on; the m-th powers are taken
+        only here."""
+        if self._tail is None or self._tail[0] != start:
+            tail = self.order[start:]
+            heights = _take(self.heights, tail)
+            if self.m != 1:
+                heights = map(pow, heights, repeat(self.m))
+            log_h = list(map(math.log, heights))
+            nums, dens = map(math.log, _take(self.nums, tail)), map(math.log, _take(self.dens, tail))
+            self._tail = (start, log_h, list(map(operator.sub, nums, dens)))
+        return self._tail[1:]
 
 
 def best_sequence_on_line(
@@ -550,45 +530,16 @@ class AlphaEstimate(NamedTuple):
     tail_count: int
 
 
-def _columns(samples: Sequence[ApproxSample]) -> _Columns:
-    """A line as it is; any other sequence of samples as its columns."""
-    if isinstance(samples, ApproxLine):
-        return samples
-    heights, nums, dens, ratios = (
-        list(map(operator.attrgetter(name), samples)) for name in ("height", "dist_num", "dist_den", "ratio")
-    )
-    return _Columns(heights, 1, nums, dens, ratios)
-
-
-def _check_distinct(samples: Sequence[ApproxSample], order: Sequence[int]) -> None:
-    """Raise NotConverging at the first point, in the order, seen before."""
-    coords = list(map(operator.attrgetter("coords"), samples))
-    if len(set(coords)) < len(coords):
-        seen = set()
-        for k in order:
-            if coords[k] in seen:
-                raise NotConverging(f"repeated point {samples[k].point}")
-            seen.add(coords[k])
-
-
-def _min_distance(columns: _Columns, indices: Sequence[int]) -> tuple[int, int]:
-    """The least distance of the indexed samples as a (numerator,
-    denominator) pair.
-
-    Denominators are positive, so a/b < c/d exactly when a*d < c*b: the
-    integers are compared, never the Fractions.
-    """
-    pairs = zip(_take(columns.nums, indices), _take(columns.dens, indices))
-    num, den = next(pairs)
-    for n, d in pairs:
-        if n * den < num * d:
-            num, den = n, d
-    return num, den
-
-
-def _tail_start(count: int, tail_fraction: float) -> int:
-    """Index of the first of ``count`` samples in the tail, which holds the
-    last ``tail_fraction`` of them and must hold at least 2."""
+def _tail_start(line: ApproxLine, tail_fraction: float) -> int:
+    """Position, in the line's order, of the first sample of the tail, which
+    holds the last ``tail_fraction`` of the samples and must hold at least
+    2.  Anything but an ``ApproxLine`` raises BadArgs, and a line of fewer
+    than 10 samples TooFewPoints."""
+    if not isinstance(line, ApproxLine):
+        raise BadArgs(f"the estimators take an ApproxLine, got {type(line).__name__}")
+    count = len(line)
+    if count < 10:
+        raise TooFewPoints(f"need at least 10 samples, got {count}")
     if not 0 < tail_fraction <= 1:
         raise BadArgs(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     start = math.floor(count * (1 - tail_fraction))
@@ -600,41 +551,26 @@ def _tail_start(count: int, tail_fraction: float) -> int:
     return start
 
 
-def alpha_estimate(
-    samples: Sequence[ApproxSample], tail_fraction: float = 0.5
-) -> AlphaEstimate:
-    """Median of the height/distance log-ratio over the tail of the sequence.
+def alpha_estimate(line: ApproxLine, tail_fraction: float = 0.5) -> AlphaEstimate:
+    """Median of the height/distance log-ratio over the tail of a line, in
+    the line's order: by height, and at equal height by descending distance.
 
-    Samples are ordered by height.  Convergence check: the tail's least
-    distance must be strictly below the head's, otherwise the sequence is
-    rejected as not converging (a non-converging sequence has constant
-    infinity), and so is a sequence with a repeated point.
-
-    A line (``ApproxLine``) skips both checks: its points are distinct (see
-    ``best_sequence_on_line``), and its distances go to 0.  At a prime p the
-    i-th distance is p^-(i + v) with v fixed.  At inf it is
+    The line is not checked for convergence.  Its points are distinct (see
+    ``best_sequence_on_line``), and its distances go to 0.  At a prime p
+    the i-th distance is p^-(i + v) with v fixed.  At inf it is
     max_{k!=j} |P_k| / (max |i*P + e_j| * max |P|), a fixed numerator over
-    max |i*P + e_j| >= i * max |P| - 1, which grows linearly in i.  The
-    head-and-tail test is no proof of that on a line: the gcd g_i of the
-    representative varies with i, so a point of small height can hold a
-    small distance and sort into the head, as at i = 37 on (3 : 4), where
-    g_i = 4.  Nor can a line's tail lack a finite ratio: its distance is
-    below 1 from i = 2 on, so only its first sample's ratio can be
-    infinite or NaN, and a tail holds at least 2 samples.
+    max |i*P + e_j| >= i * max |P| - 1, which grows linearly in i.  A test
+    of the tail's least distance against the head's would be no proof of
+    that: the gcd g_i of the representative varies with i, so a point of
+    small height can hold a small distance and sort into the head, as at
+    i = 37 on (3 : 4), where g_i = 4.  Nor can the tail of a line from
+    ``best_sequence_on_line`` lack a finite ratio: its distance is below 1
+    from i = 2 on, so only its first sample's ratio can be infinite or
+    NaN, and a tail holds at least 2 samples.  A line built by hand can,
+    and raises NotConverging.
     """
-    if len(samples) < 10:
-        raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
-    start = _tail_start(len(samples), tail_fraction)
-    columns = _columns(samples)
-    order = columns.order
-    if columns is not samples:
-        _check_distinct(samples, order)
-        half = len(order) // 2
-        head_num, head_den = _min_distance(columns, order[:half])
-        tail_num, tail_den = _min_distance(columns, order[half:])
-        if tail_num * head_den >= head_num * tail_den:
-            raise NotConverging("distances do not decrease along the sequence")
-    tail = sorted(filter(math.isfinite, columns.tail_ratios(start)))
+    start = _tail_start(line, tail_fraction)
+    tail = sorted(filter(math.isfinite, map(_log_ratio, *line.tail_logs(start))))
     if not tail:
         raise NotConverging("no finite ratios in the tail")
     mid = len(tail) // 2
@@ -643,7 +579,7 @@ def alpha_estimate(
         estimate=median,
         tail_min=tail[0],
         tail_max=tail[-1],
-        sample_count=len(order),
+        sample_count=len(line),
         tail_count=len(tail),
     )
 
@@ -660,21 +596,17 @@ class Trend(NamedTuple):
     verdict: str  # "bounded", "unbounded", or "indeterminate"
 
 
-def boundedness_trend(
-    samples: Sequence[ApproxSample], gamma: float, tail_fraction: float = 0.5
-) -> Trend:
+def boundedness_trend(line: ApproxLine, gamma: float, tail_fraction: float = 0.5) -> Trend:
     """Least-squares slope of log(dist^gamma * H) against log H over the tail.
 
     A slope below -TREND_THRESHOLD means the product tends to zero (gamma
     is in the bounded set); one above TREND_THRESHOLD means it is
     unbounded.  The interval structure of the bounded set makes this
-    monotone in gamma.  The samples are ordered as in ``alpha_estimate``,
-    so both read the same tail, and on a line the same logarithms.
+    monotone in gamma.  It reads the line in the order of ``alpha_estimate``,
+    so both read the same tail and share its logarithms.
     """
-    if len(samples) < 10:
-        raise TooFewPoints(f"need at least 10 samples, got {len(samples)}")
-    start = _tail_start(len(samples), tail_fraction)
-    xs, log_dist = _columns(samples).tail_logs(start)
+    start = _tail_start(line, tail_fraction)
+    xs, log_dist = line.tail_logs(start)
     ys = list(map(operator.add, xs, map(operator.mul, repeat(gamma), log_dist)))
     n = len(xs)
     mean_x = sum(xs) / n

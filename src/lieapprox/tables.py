@@ -245,14 +245,14 @@ def header_formula_flags(st: SimpleType) -> list[str]:
     """Flags for every cell where the printed binomial column disagrees with
     the threshold formula binom(dim X + d - 1, dim X) its header announces.
 
-    The printed values satisfy binom(dim X + d - 2, d - 1) instead.
+    The printed values satisfy binom(dim X + d - 2, d - 1), ``table_binomial``.
     """
     rs = build_root_system(st)
     n = rs.dim_X
     out = []
     for pos, i in enumerate(rootcurve_node_order(st), start=1):
         d = rs.comark_vector[i - 1]
-        printed_form = comb(n + d - 2, d - 1)
+        printed_form = table_binomial(st, i)
         header_form = comb(n + d - 1, n)
         if printed_form != header_form:
             out.append(

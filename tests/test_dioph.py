@@ -257,6 +257,20 @@ def _line_representatives(target, place, count):
             yield tuple(c + place.prime**i * (k == j) for k, c in enumerate(coords))
 
 
+def _hand_built(heights, nums, dens, m=1):
+    """A line built by hand from its height and distance columns, on the
+    target (1 : 0) at inf.  The estimators read only the columns; indexing
+    builds the points (i : 1) of the real line, whatever the columns hold."""
+    count = len(heights)
+    return ApproxLine(P10, INF, 1, m, [1] * count, heights, nums, dens)
+
+
+def _reversed(line):
+    """The columns of a line in reverse order, as a line built by hand: its
+    heights fall, so the estimators sort them."""
+    return _hand_built(line.heights[::-1], line.nums[::-1], line.dens[::-1], line.m)
+
+
 @st.composite
 def _line_target(draw):
     """A target in P^1 to P^3, often with zero coordinates, and often with
@@ -339,14 +353,11 @@ _GCD_JUMPS = [Point((3, 4)), Point((8, 7))]
 @example(Point((3, 4)), None, 37, 1)  # the point at i = 37, (28 : 37), has gcd 4
 @example(Point((8, 7)), None, 20, 1)
 def test_no_line_raises_not_converging(target, prime, count, m):
-    # a line's distances go to 0 by construction, so it is never refused;
-    # the same samples as a list still take the head-and-tail test
+    # a line's distances go to 0 by construction, so it is never refused:
+    # its tail has finite ratios and heights that grow
     line = best_sequence_on_line(target, PlaceSpec(prime), count, m)
     assert alpha_estimate(line).sample_count == count
-    try:
-        alpha_estimate(list(line))
-    except NotConverging as exc:
-        assert str(exc) == "distances do not decrease along the sequence"
+    boundedness_trend(line, 1.0)
 
 
 def test_a_line_is_a_read_only_sequence_of_samples():
@@ -361,6 +372,12 @@ def test_a_line_is_a_read_only_sequence_of_samples():
             line[index]
     with pytest.raises(TypeError):
         line[1] = samples[0]
+
+
+_ESTIMATORS = {
+    "alpha_estimate": lambda seq, tail: alpha_estimate(seq, tail_fraction=tail),
+    "boundedness_trend": lambda seq, tail: boundedness_trend(seq, 1.0, tail_fraction=tail),
+}
 
 
 def test_alpha_estimate_closed_form_line():
@@ -388,33 +405,31 @@ def test_alpha_estimate_padic():
     assert est3.estimate == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sparser_sequence_does_not_raise_alpha():
-    # heights i^2 with distances 1/i^2: the ratio is still 1
-    seq = [make_sample(Point((i * i, 1)), P10, INF) for i in range(2, 200)]
-    assert alpha_estimate(seq).estimate == pytest.approx(1.0, abs=1e-9)
-
-
 def test_alpha_estimate_needs_enough_points():
     seq = best_sequence_on_line(P10, INF, 12)
-    with pytest.raises(TooFewPoints):
-        alpha_estimate(seq[:5])
+    for estimate in _ESTIMATORS.values():
+        with pytest.raises(TooFewPoints, match="need at least 10 samples, got 5"):
+            estimate(_hand_built(seq.heights[:5], seq.nums[:5], seq.dens[:5]), 0.5)
     with pytest.raises(TooFewPoints):
         best_sequence_on_line(P10, INF, 9)
 
 
-def test_alpha_estimate_rejects_non_converging():
-    drifting = [make_sample(Point((2 + i, 1 + i)), P10, INF) for i in range(1, 40)]
-    with pytest.raises(NotConverging):
-        alpha_estimate(drifting)
-    repeated = best_sequence_on_line(P10, INF, 20)
-    with pytest.raises(NotConverging):
-        alpha_estimate(list(repeated) + [repeated[-1]])
-    # the constructor normalises coordinates, so three times the last point is that point
-    last = repeated[-1]
-    scaled = ApproxSample(tuple(3 * c for c in last.coords), *last[1:])
-    assert scaled == last
-    with pytest.raises(NotConverging, match="repeated point"):
-        alpha_estimate([*repeated, scaled])
+def test_a_line_built_by_hand_can_fail_to_converge():
+    # the refusals that no line of best_sequence_on_line reaches
+    flat = _hand_built([1] * 20, [1] * 20, [3] * 20)
+    with pytest.raises(NotConverging, match="^heights do not grow along the tail$"):
+        boundedness_trend(flat, 1.0)
+    far = _hand_built(list(range(2, 22)), [1] * 20, [1] * 20)
+    with pytest.raises(NotConverging, match="^no finite ratios in the tail$"):
+        alpha_estimate(far)
+
+
+@pytest.mark.parametrize("name", _ESTIMATORS)
+def test_the_estimators_take_only_a_line(name):
+    line = best_sequence_on_line(Point((1, 2)), INF, 20)
+    for samples, kind in ((list(line), "list"), (line[:], "list"), (tuple(line), "tuple")):
+        with pytest.raises(BadArgs, match=f"^the estimators take an ApproxLine, got {kind}$"):
+            _ESTIMATORS[name](samples, 0.5)
 
 
 def test_a_height_below_one_is_refused_where_the_sample_is_built():
@@ -423,8 +438,11 @@ def test_a_height_below_one_is_refused_where_the_sample_is_built():
     rows = [(h, 1, 2 ** (h + 1), h / (h + 1)) for h in range(20)]
     with pytest.raises(BadArgs, match="a sample height must be at least 1, got 0"):
         [ApproxSample((1, k), *row) for k, row in enumerate(rows)]
-    samples = [ApproxSample((1, k), h + 1, *rest) for k, (h, *rest) in enumerate(rows)]
-    assert boundedness_trend(samples, 1.0, tail_fraction=1.0).verdict == "bounded"
+    # the least height a sample can have is 1, and the trend reads it: the
+    # first sample on (1 : 0) at inf is (1 : 1), of height 1 and distance 1
+    line = best_sequence_on_line(P10, INF, 20)
+    assert (line[0].height, line[0].distance) == (1, 1)
+    assert boundedness_trend(line, 2.0, tail_fraction=1.0).verdict == "bounded"
 
 
 def test_alpha_estimate_tail_fraction_validation():
@@ -434,12 +452,6 @@ def test_alpha_estimate_tail_fraction_validation():
     with pytest.raises(BadArgs):
         alpha_estimate(seq, tail_fraction=0.05)  # a tail of one sample
     assert alpha_estimate(seq, tail_fraction=0.1).tail_count == 2
-
-
-_ESTIMATORS = {
-    "alpha_estimate": lambda seq, tail: alpha_estimate(seq, tail_fraction=tail),
-    "boundedness_trend": lambda seq, tail: boundedness_trend(seq, 1.0, tail_fraction=tail),
-}
 
 
 @pytest.mark.parametrize("name", _ESTIMATORS)
@@ -480,69 +492,64 @@ _SMALL_FRACTIONS = sorted({Fraction(k, d) for d in range(1, 5) for k in range(1,
 
 
 @st.composite
-def _drawn_samples(draw):
-    """Samples built directly.  Heights 1..6 and distances with denominators
-    up to 4 force ties in both fields, few point labels force repeats, and
-    the ratios include 0, inf and NaN, sometimes with no finite one."""
+def _drawn_lines(draw):
+    """Lines built by hand from drawn columns.  Heights 1..6 and distances
+    with denominators up to 4 force ties in both fields, in either order of
+    the distances, and distances of 1 give ratios of 0, inf and NaN,
+    sometimes with no finite one in the tail."""
     size = draw(st.integers(5, 40))
-    labels = draw(st.lists(st.integers(0, 2 * size), min_size=size, max_size=size, unique=draw(st.booleans())))
-    ratio = draw(st.sampled_from([
-        st.sampled_from([0.0, math.inf, math.nan]) | st.floats(0, 5),
-        st.sampled_from([math.inf, math.nan]),
-    ]))
-    fields = st.tuples(st.integers(1, 6), st.sampled_from(_SMALL_FRACTIONS), ratio)
-    rows = draw(st.lists(fields, min_size=size, max_size=size))
-    # distances that shrink with the height make many lists converge
+    distances = draw(st.sampled_from([st.sampled_from(_SMALL_FRACTIONS), st.just(Fraction(1))]))
+    rows = draw(st.lists(st.tuples(st.integers(1, 6), distances), min_size=size, max_size=size))
+    # distances that shrink with the height give many finite ratios
     shrink = draw(st.booleans())
-    return [
-        ApproxSample((1, label), h, *(d / h if shrink else d).as_integer_ratio(), r)
-        for label, (h, d, r) in zip(labels, rows)
-    ]
+    pairs = [(d / h if shrink else d).as_integer_ratio() for h, d in rows]
+    heights = [h for h, _ in rows]
+    return _hand_built(heights, [n for n, _ in pairs], [d for _, d in pairs], draw(st.integers(1, 2)))
 
 
 @st.composite
-def _line_samples(draw):
-    """A real line at inf, 2, 3, 5 or 7, in a drawn order, sometimes with one
-    sample repeated."""
+def _real_lines(draw):
+    """A line of ``best_sequence_on_line`` at inf, 2, 3, 5 or 7, on a drawn
+    target or one whose gcd jumps."""
     place = PlaceSpec(draw(st.sampled_from([None, 2, 3, 5, 7])))
-    samples = best_sequence_on_line(draw(_line_target()), place, draw(st.integers(10, 60)), draw(st.integers(1, 2)))
-    samples = draw(st.permutations(samples))
-    if draw(st.booleans()):
-        samples.append(draw(st.sampled_from(samples)))
-    return samples
+    target = draw(_line_target() | st.sampled_from(_GCD_JUMPS))
+    return best_sequence_on_line(target, place, draw(st.integers(10, 60)), draw(st.integers(1, 2)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    _drawn_samples() | _line_samples(),
+    _drawn_lines() | _real_lines(),
     st.sampled_from([1.0, 0.5, 0.25, 0.1]) | st.floats(0, 1, exclude_min=True),
 )
-@example(best_sequence_on_line(Point((0, 1, 4)), PlaceSpec(2), 40), 0.5)  # heights 4, 4: a tie
+@example(best_sequence_on_line(Point((0, 1, 4)), PlaceSpec(2), 40), 0.5)  # heights 4, 4, 8: a tie
+@example(best_sequence_on_line(Point((3, 4)), INF, 37), 0.5)  # (28 : 37) has gcd 4 and sorts into the head
 @example(best_sequence_on_line(P10, INF, 10), 1.0)  # the first ratio is NaN
-def test_alpha_estimate_matches_the_fraction_oracle(samples, tail):
+def test_alpha_estimate_matches_the_fraction_oracle(line, tail):
+    # the oracle reads the samples the line builds; a line is not checked
+    # for convergence (see test_no_line_raises_not_converging)
     try:
-        expected = oracles.alpha_estimate(samples, tail)
+        expected = oracles.alpha_estimate(list(line), tail, check_convergence=False)
     except oracles.EstimatorError as exc:
         with pytest.raises(Exception) as raised:
-            alpha_estimate(samples, tail)
+            alpha_estimate(line, tail)
         assert (type(raised.value).__name__, str(raised.value)) == (exc.kind, str(exc))
         return
-    got = alpha_estimate(samples, tail)
+    got = alpha_estimate(line, tail)
     assert isinstance(got, AlphaEstimate)
     assert tuple(got) == expected
 
 
 @pytest.mark.parametrize("prime", [None, 2])
 def test_alpha_estimate_makes_no_fraction_comparison_on_a_tie_free_line(prime, monkeypatch):
-    samples = best_sequence_on_line(Point((3, -2, 5)), PlaceSpec(prime), 300)[::-1]
-    assert len({s.height for s in samples}) == len(samples)
+    line = _reversed(best_sequence_on_line(Point((3, -2, 5)), PlaceSpec(prime), 300))
+    assert len(set(line.heights)) == len(line)
     calls = []
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
         compare = getattr(Fraction, name)
         monkeypatch.setattr(Fraction, name, lambda a, b, compare=compare: calls.append(a) or compare(a, b))
     assert Fraction(1, 3) < Fraction(1, 2) and calls  # the patch counts
     calls.clear()
-    alpha_estimate(samples)
+    alpha_estimate(line)
     assert calls == []
 
 
@@ -560,13 +567,13 @@ def test_a_tie_free_line_builds_no_fraction(prime, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: calls.append(args) or new(cls, *args, **kw))
     assert Fraction(1, 3) == Fraction(2, 6) and calls  # the patch counts
     calls.clear()
-    samples = best_sequence_on_line(Point((3, -2, 5)), place, 300)[::-1]
-    alpha_estimate(samples)
-    boundedness_trend(samples, 1.0)
+    line = _reversed(best_sequence_on_line(Point((3, -2, 5)), place, 300))
+    alpha_estimate(line)
+    boundedness_trend(line, 1.0)
     with redirect_stdout(io.StringIO()):
         assert main(_ALPHA_2000 + ["--gamma", "1", "--format", "json"]) == 0
     assert calls == []
-    assert len({s.height for s in samples}) == len(samples)
+    assert len(set(line.heights)) == len(line)
 
 
 @pytest.mark.parametrize("fmt, built", [("json", 0), ("text", 3)])
@@ -636,6 +643,7 @@ def test_trend_reads_the_same_tail_as_the_estimate():
     ys = [x - math.log(s.distance.denominator) for x, s in zip(xs, tail)]
     mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
-    for order in (samples, samples[::-1]):
-        assert boundedness_trend(order, 1.0).slope == pytest.approx(slope, abs=1e-12)
-        assert alpha_estimate(order).tail_min == min(s.ratio for s in tail)
+    heights, dens = [h for h, _ in rows], [den for _, den in rows]
+    for line in (_hand_built(heights, [1] * 10, dens), _hand_built(heights[::-1], [1] * 10, dens[::-1])):
+        assert boundedness_trend(line, 1.0).slope == pytest.approx(slope, abs=1e-12)
+        assert alpha_estimate(line).tail_min == min(s.ratio for s in tail)
