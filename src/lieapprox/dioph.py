@@ -60,14 +60,13 @@ The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
 over a configurable tail, together with the tail extremes.  Both
 estimators take a line, and only a line, and read its columns.  The line
-orders its indices by the integer heights, compares distances, as
-Fractions, only between samples of equal height, and keeps that order for
-every later read.  The m-th powers, the logarithms and the ratios are
-computed for the tail only, and the estimate and every trend of that tail
-share the logarithms; log(dist) is log(numerator) - log(denominator).  A
-line's points are distinct and its distances go to 0, so the estimators
-check neither.  So on a line whose heights are all distinct, as they are
-for every target in P^1 or P^2 with coordinates of at most 3, neither
+orders its indices by a stable sort on the integer heights and keeps that
+order for every later read; its distances strictly decrease along the
+line, so at equal height the larger distance comes first.  The m-th
+powers, the logarithms and the ratios are computed for the tail only, and
+the estimate and every trend of that tail share the logarithms; log(dist)
+is log(numerator) - log(denominator).  A line's points are distinct and
+its distances go to 0, so the estimators check neither, and neither
 builds a Fraction.
 """
 
@@ -78,7 +77,7 @@ import operator
 from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, groupby, islice, repeat
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -353,26 +352,12 @@ def _take(column: list, indices: Sequence[int]) -> list:
     return list(map(column.__getitem__, indices))
 
 
-def _height_order(heights: list[int], nums: list[int], dens: list[int]) -> Sequence[int]:
-    """The indices by ascending height, and at equal height by descending
-    distance nums[k] / dens[k]: the order of the key (height, -distance),
-    ties kept in index order.
-
-    ``range(n)`` when the heights strictly increase.  Otherwise one stable
-    sort of the indices on the integer heights, then a stable sort by
-    descending distance of each run of equal heights; distances are built
-    as Fractions and compared only when such a run exists.
-    """
-    if all(map(operator.lt, heights, islice(heights, 1, None))):
+def _height_order(heights: list[int]) -> Sequence[int]:
+    """The indices by ascending height, ties kept in index order: ``range(n)``
+    when the heights never fall, else one stable sort of the indices."""
+    if all(map(operator.le, heights, islice(heights, 1, None))):
         return range(len(heights))
-    order = sorted(range(len(heights)), key=heights.__getitem__)
-    ordered = list(map(heights.__getitem__, order))
-    if not any(map(operator.eq, ordered, islice(ordered, 1, None))):
-        return order
-    def distance(k: int) -> Fraction:
-        return Fraction(nums[k], dens[k])
-
-    return [k for _, run in groupby(order, heights.__getitem__) for k in sorted(run, key=distance, reverse=True)]
+    return sorted(range(len(heights)), key=heights.__getitem__)
 
 
 class ApproxLine(Sequence):
@@ -387,6 +372,12 @@ class ApproxLine(Sequence):
     of ``_height_order`` is computed once, and so are the logarithms of the
     heights and distances over the last tail read, which the estimate and
     every trend of that tail share.
+
+    The constructor is internal and checks nothing: ``best_sequence_on_line``
+    is the only builder, and its columns hold what the estimators rely on.
+    The heights and distance terms are at least 1, and the distances
+    strictly decrease along the line, so the stable height order puts the
+    larger distance first at equal height.
     """
 
     __slots__ = ("target", "place", "m", "heights", "nums", "dens", "_j", "_gcds", "_order", "_tail")
@@ -424,7 +415,7 @@ class ApproxLine(Sequence):
     @property
     def order(self) -> Sequence[int]:
         if self._order is None:
-            self._order = _height_order(self.heights, self.nums, self.dens)
+            self._order = _height_order(self.heights)
         return self._order
 
     def tail_logs(self, start: int) -> tuple[list[float], list[float]]:
@@ -566,8 +557,8 @@ def alpha_estimate(line: ApproxLine, tail_fraction: float = 0.5) -> AlphaEstimat
     i = 37 on (3 : 4), where g_i = 4.  Nor can the tail of a line from
     ``best_sequence_on_line`` lack a finite ratio: its distance is below 1
     from i = 2 on, so only its first sample's ratio can be infinite or
-    NaN, and a tail holds at least 2 samples.  A line built by hand can,
-    and raises NotConverging.
+    NaN, and a tail holds at least 2 samples.  Columns that no line holds
+    can lack one, and raise NotConverging.
     """
     start = _tail_start(line, tail_fraction)
     tail = sorted(filter(math.isfinite, map(_log_ratio, *line.tail_logs(start))))

@@ -241,18 +241,20 @@ def audit_dim_x(st: SimpleType) -> RowAudit:
     return _audit(str(st), "dimX", (printed_dim_x(st),), (computed_dim_x(st),), False)
 
 
-def header_formula_flags(st: SimpleType) -> list[str]:
+def header_formula_flags(st: SimpleType, printed: tuple[int, ...] | None = None) -> list[str]:
     """Flags for every cell where the printed binomial column disagrees with
     the threshold formula binom(dim X + d - 1, dim X) its header announces.
 
-    The printed values satisfy binom(dim X + d - 2, d - 1), ``table_binomial``.
+    The printed values satisfy binom(dim X + d - 2, d - 1), ``table_binomial``;
+    ``printed`` is that row in the table's node order, computed when not given.
     """
     rs = build_root_system(st)
     n = rs.dim_X
+    if printed is None:
+        printed = computed_curve_binomial_row(st)
     out = []
-    for pos, i in enumerate(rootcurve_node_order(st), start=1):
+    for pos, (i, printed_form) in enumerate(zip(rootcurve_node_order(st), printed), start=1):
         d = rs.comark_vector[i - 1]
-        printed_form = table_binomial(st, i)
         header_form = comb(n + d - 1, n)
         if printed_form != header_form:
             out.append(
@@ -311,7 +313,7 @@ def rootcurve_table(types) -> Table:
             (str(st), ", ".join(map(str, comarks)), tuple(binoms)),
         ))
         appendix += comark_audit.describe() + binomial_audit.describe()
-        appendix += header_formula_flags(st)
+        appendix += header_formula_flags(st, binomial_audit.computed)
     return Table(
         name="rootcurves",
         title="root curve degrees (comarks) and printed binomial column",

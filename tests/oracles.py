@@ -139,13 +139,10 @@ class EstimatorError(Exception):
         self.kind = kind
 
 
-def alpha_estimate(samples, tail_fraction: float = 0.5, check_convergence: bool = True) -> tuple:
+def alpha_estimate(samples, tail_fraction: float = 0.5) -> tuple:
     """(estimate, tail_min, tail_max, sample_count, tail_count): the median
     of the finite ratios over the last ``tail_fraction`` of the samples
-    ordered by height, then by descending distance.
-
-    ``check_convergence=False`` skips the repeated-point and decreasing
-    distance checks, which the engine proves, rather than tests, on a line."""
+    ordered by height, then by descending distance."""
     if len(samples) < 10:
         raise EstimatorError("TooFewPoints", f"need at least 10 samples, got {len(samples)}")
     if not 0 < tail_fraction <= 1:
@@ -159,17 +156,6 @@ def alpha_estimate(samples, tail_fraction: float = 0.5, check_convergence: bool 
         )
     ordered = sorted(samples, key=lambda s: s.distance, reverse=True)
     ordered.sort(key=lambda s: s.height)
-    if check_convergence:
-        seen = set()
-        for s in ordered:
-            if s.point.coords in seen:
-                raise EstimatorError("NotConverging", f"repeated point {s.point}")
-            seen.add(s.point.coords)
-        half = len(ordered) // 2
-        head_min = min(s.distance for s in ordered[:half])
-        tail_min = min(s.distance for s in ordered[half:])
-        if tail_min >= head_min:
-            raise EstimatorError("NotConverging", "distances do not decrease along the sequence")
     tail = sorted(s.ratio for s in ordered[start:] if math.isfinite(s.ratio))
     if not tail:
         raise EstimatorError("NotConverging", "no finite ratios in the tail")

@@ -259,16 +259,13 @@ def _line_representatives(target, place, count):
 
 def _hand_built(heights, nums, dens, m=1):
     """A line built by hand from its height and distance columns, on the
-    target (1 : 0) at inf.  The estimators read only the columns; indexing
-    builds the points (i : 1) of the real line, whatever the columns hold."""
+    target (1 : 0) at inf, through the internal constructor.  The columns
+    keep a line's invariants, distances that fall along the line included,
+    unless a test says otherwise.  The estimators read only the columns;
+    indexing builds the points (i : 1) of the real line, whatever the
+    columns hold."""
     count = len(heights)
     return ApproxLine(P10, INF, 1, m, [1] * count, heights, nums, dens)
-
-
-def _reversed(line):
-    """The columns of a line in reverse order, as a line built by hand: its
-    heights fall, so the estimators sort them."""
-    return _hand_built(line.heights[::-1], line.nums[::-1], line.dens[::-1], line.m)
 
 
 @st.composite
@@ -333,7 +330,7 @@ def test_line_points_are_distinct_and_distances_decrease(target, prime, count, m
     samples = list(line)
     assert len({s.coords for s in samples}) == count
     assert all(a.distance > b.distance for a, b in zip(samples, samples[1:]))
-    assert tuple(alpha_estimate(line)) == oracles.alpha_estimate(samples, check_convergence=False)
+    assert tuple(alpha_estimate(line)) == oracles.alpha_estimate(samples)
 
 
 #: Targets whose representatives' gcd at inf varies with i, so that a point
@@ -405,6 +402,13 @@ def test_alpha_estimate_padic():
     assert est3.estimate == pytest.approx(1.0, abs=1e-9)
 
 
+def test_sparser_sequence_does_not_raise_alpha():
+    # heights i^2 with distances 1/i^2: the ratio is still 1
+    squares = [i * i for i in range(2, 200)]
+    line = _hand_built(squares, [1] * len(squares), squares)
+    assert alpha_estimate(line).estimate == pytest.approx(1.0, abs=1e-9)
+
+
 def test_alpha_estimate_needs_enough_points():
     seq = best_sequence_on_line(P10, INF, 12)
     for estimate in _ESTIMATORS.values():
@@ -414,11 +418,15 @@ def test_alpha_estimate_needs_enough_points():
         best_sequence_on_line(P10, INF, 9)
 
 
-def test_a_line_built_by_hand_can_fail_to_converge():
-    # the refusals that no line of best_sequence_on_line reaches
-    flat = _hand_built([1] * 20, [1] * 20, [3] * 20)
+def test_the_estimators_refuse_a_tail_they_cannot_read():
+    # At 2 the line through (1 : 7^40) keeps the height 7^40 while 2^i is
+    # smaller: the trend has nothing to fit, though the estimate is finite.
+    flat = best_sequence_on_line(Point((1, 7**40)), PlaceSpec(2), 10)
+    assert set(flat.heights) == {7**40}
     with pytest.raises(NotConverging, match="^heights do not grow along the tail$"):
         boundedness_trend(flat, 1.0)
+    assert math.isfinite(alpha_estimate(flat).estimate)
+    # columns that no line holds: every distance is 1
     far = _hand_built(list(range(2, 22)), [1] * 20, [1] * 20)
     with pytest.raises(NotConverging, match="^no finite ratios in the tail$"):
         alpha_estimate(far)
@@ -465,45 +473,45 @@ def test_tail_fraction_is_validated_by_both_estimators(name, tail):
 
 
 
-#: The distances in (0, 1] with denominators up to 3.
-_THIRDS_AND_HALVES = sorted({Fraction(k, d) for d in range(1, 4) for k in range(1, d + 1)})
+#: The distances in (0, 2] with denominators up to 8, 44 of them.
+_DISTANCES = sorted({Fraction(k, d) for d in range(1, 9) for k in range(1, 2 * d + 1)})
+
+
+@st.composite
+def _falling_columns(draw, min_size=0, max_size=30):
+    """Heights 1..6 in any order, which force ties, and distinct distances
+    that fall along the columns, as a line's do."""
+    heights = draw(st.lists(st.integers(1, 6), min_size=min_size, max_size=max_size))
+    size = len(heights)
+    distances = draw(st.lists(st.sampled_from(_DISTANCES), min_size=size, max_size=size, unique=True))
+    return heights, sorted(distances, reverse=True)
 
 
 def _ordered(samples):
     """The samples in the index order of ``_height_order``."""
-    columns = ([s.height for s in samples], [s.dist_num for s in samples], [s.dist_den for s in samples])
-    return [samples[k] for k in _height_order(*columns)]
+    return [samples[k] for k in _height_order([s.height for s in samples])]
 
 
 @settings(max_examples=300)
-@given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(_THIRDS_AND_HALVES)), max_size=30))
-def test_sample_order_matches_the_height_minus_distance_key(pairs):
-    # Small heights and denominators force ties in both fields; the distinct
-    # points tell tied samples apart, so the check covers their order too.
+@given(_falling_columns())
+def test_sample_order_matches_the_height_minus_distance_key(columns):
+    # Small heights force ties; the distances fall along the list, as on a
+    # line, so the stable height order puts the larger distance first, and
+    # the distinct points tell tied samples apart.
     samples = [
-        ApproxSample((1, k), h, d.numerator, d.denominator, 0.0) for k, (h, d) in enumerate(pairs)
+        ApproxSample((1, k), h, d.numerator, d.denominator, 0.0) for k, (h, d) in enumerate(zip(*columns))
     ]
     expected = sorted(samples, key=lambda s: (s.height, -s.distance))
     assert _ordered(samples) == expected
 
 
-#: The distances in (0, 1] with denominators up to 4.
-_SMALL_FRACTIONS = sorted({Fraction(k, d) for d in range(1, 5) for k in range(1, d + 1)})
-
-
 @st.composite
 def _drawn_lines(draw):
-    """Lines built by hand from drawn columns.  Heights 1..6 and distances
-    with denominators up to 4 force ties in both fields, in either order of
-    the distances, and distances of 1 give ratios of 0, inf and NaN,
-    sometimes with no finite one in the tail."""
-    size = draw(st.integers(5, 40))
-    distances = draw(st.sampled_from([st.sampled_from(_SMALL_FRACTIONS), st.just(Fraction(1))]))
-    rows = draw(st.lists(st.tuples(st.integers(1, 6), distances), min_size=size, max_size=size))
-    # distances that shrink with the height give many finite ratios
-    shrink = draw(st.booleans())
-    pairs = [(d / h if shrink else d).as_integer_ratio() for h, d in rows]
-    heights = [h for h, _ in rows]
+    """Lines built by hand from drawn columns: heights that tie and fall,
+    and distances that fall along the line from at most 2, whose ratios
+    include 0, negative ones and one inf or NaN."""
+    heights, distances = draw(_falling_columns(5, 40))
+    pairs = [d.as_integer_ratio() for d in distances]
     return _hand_built(heights, [n for n, _ in pairs], [d for _, d in pairs], draw(st.integers(1, 2)))
 
 
@@ -528,7 +536,7 @@ def test_alpha_estimate_matches_the_fraction_oracle(line, tail):
     # the oracle reads the samples the line builds; a line is not checked
     # for convergence (see test_no_line_raises_not_converging)
     try:
-        expected = oracles.alpha_estimate(list(line), tail, check_convergence=False)
+        expected = oracles.alpha_estimate(list(line), tail)
     except oracles.EstimatorError as exc:
         with pytest.raises(Exception) as raised:
             alpha_estimate(line, tail)
@@ -539,10 +547,20 @@ def test_alpha_estimate_matches_the_fraction_oracle(line, tail):
     assert tuple(got) == expected
 
 
+#: Targets whose line of 300 points has distinct heights that sometimes
+#: fall, at inf and at 2: the estimators sort them.
+_FALLING = {None: Point((3, 4)), 2: Point((1, -6, -6))}
+
+
+def _falling_line(prime):
+    line = best_sequence_on_line(_FALLING[prime], PlaceSpec(prime), 300)
+    assert len(set(line.heights)) == len(line) and not isinstance(line.order, range)
+    return line
+
+
 @pytest.mark.parametrize("prime", [None, 2])
 def test_alpha_estimate_makes_no_fraction_comparison_on_a_tie_free_line(prime, monkeypatch):
-    line = _reversed(best_sequence_on_line(Point((3, -2, 5)), PlaceSpec(prime), 300))
-    assert len(set(line.heights)) == len(line)
+    line = _falling_line(prime)
     calls = []
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
         compare = getattr(Fraction, name)
@@ -567,13 +585,25 @@ def test_a_tie_free_line_builds_no_fraction(prime, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: calls.append(args) or new(cls, *args, **kw))
     assert Fraction(1, 3) == Fraction(2, 6) and calls  # the patch counts
     calls.clear()
-    line = _reversed(best_sequence_on_line(Point((3, -2, 5)), place, 300))
+    line = best_sequence_on_line(_FALLING[prime], place, 300)
     alpha_estimate(line)
     boundedness_trend(line, 1.0)
     with redirect_stdout(io.StringIO()):
         assert main(_ALPHA_2000 + ["--gamma", "1", "--format", "json"]) == 0
     assert calls == []
-    assert len(set(line.heights)) == len(line)
+    _falling_line(prime)
+
+
+def test_a_line_with_tied_heights_builds_no_fraction(monkeypatch):
+    # the stable height order needs no distance to break a tie
+    calls = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: calls.append(args) or new(cls, *args, **kw))
+    line = best_sequence_on_line(Point((0, 1, 4)), PlaceSpec(2), 40)
+    assert line.heights[:3] == [4, 4, 8]
+    alpha_estimate(line, tail_fraction=0.975)
+    boundedness_trend(line, 1.0, tail_fraction=0.975)
+    assert calls == []
 
 
 @pytest.mark.parametrize("fmt, built", [("json", 0), ("text", 3)])
@@ -626,24 +656,18 @@ def test_trend_flat_at_the_critical_exponent():
 
 
 def test_trend_reads_the_same_tail_as_the_estimate():
-    # Heights 2..10 with 6 twice: the tail of half starts between the two
-    # height-6 samples.  The larger distance sorts first at equal height, so
-    # only the one at distance 1/64 is in the tail, whichever order the input
-    # has; a sort by height alone keeps the input order, and takes the one at
-    # 1/36 instead.
-    rows = [(2, 4), (3, 9), (4, 16), (5, 25), (6, 64), (6, 36), (7, 49), (8, 64), (9, 81), (10, 100)]
-    samples = [
-        ApproxSample((1, k), h, 1, den, math.log(h) / math.log(den))
-        for k, (h, den) in enumerate(rows)
-    ]
-    assert sorted(samples, key=lambda s: s.height)[5:] != _ordered(samples)[5:]
-    tail = _ordered(samples)[5:]
-    assert [(s.height, s.distance) for s in tail[:2]] == [(6, Fraction(1, 64)), (7, Fraction(1, 49))]
-    xs = [math.log(s.height) for s in tail]
-    ys = [x - math.log(s.distance.denominator) for x, s in zip(xs, tail)]
-    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
-    heights, dens = [h for h, _ in rows], [den for _, den in rows]
-    for line in (_hand_built(heights, [1] * 10, dens), _hand_built(heights[::-1], [1] * 10, dens[::-1])):
+    # Heights 2..10 with 6 twice, and distances that fall along the line, as
+    # on every line: the tail of half starts between the two height-6
+    # samples, and the later one, at the smaller distance 1/40, is in it.
+    # In the second line the heights fall and rise, so the order is sorted.
+    dens = [4, 9, 16, 25, 36, 40, 49, 64, 81, 100]
+    for heights in ([2, 3, 4, 5, 6, 6, 7, 8, 9, 10], [5, 3, 2, 4, 6, 6, 10, 7, 9, 8]):
+        line = _hand_built(heights, [1] * 10, dens)
+        tail = sorted(line, key=lambda s: (s.height, -s.distance))[5:]
+        assert [(s.height, s.distance) for s in tail[:2]] == [(6, Fraction(1, 40)), (7, Fraction(1, dens[heights.index(7)]))]
+        xs = [math.log(s.height) for s in tail]
+        ys = [x - math.log(s.distance.denominator) for x, s in zip(xs, tail)]
+        mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
         assert boundedness_trend(line, 1.0).slope == pytest.approx(slope, abs=1e-12)
         assert alpha_estimate(line).tail_min == min(s.ratio for s in tail)
