@@ -1,16 +1,22 @@
 """Command-line surface: table reproduction, verification sweeps, bound
 queries for arbitrary types and nef divisors, and the approximation lab.
 
-It parses arguments, selects types, serializes reports and checks goldens;
-``tables`` builds the reports.  Each command line is parsed once, by its
-subcommand's parser; the top-level parser serves the help and the usage
-errors (no command, an unknown one, an option before the command, or
-arguments the subcommand does not know).  Each format has one serializer:
-``TABLE_FORMATS`` for a ``Table`` and ``VERIFY_FORMATS`` for verify rows,
-which share the CSV and JSON helpers.  A golden file is named
-``{table}_{selector}_{format}.golden``, the selector being ``all``
-followed by the rank ceiling, ``exceptional``, or the listed labels
-sorted and joined by ``-``.
+It reads arguments, selects types, serializes reports and checks goldens;
+``tables`` builds the reports.  A command line in canonical form (a
+subcommand, then each option spelled in full and followed by its value) is
+read straight from the subcommand parser's own actions, with their types,
+choices and defaults, and costs no argparse parse.  Any other command line
+after a subcommand is parsed once, by that subcommand's parser.  The
+top-level parser serves the rest of the help and the usage errors (no
+command, an unknown one, an option before the command, or arguments the
+subcommand does not know), so argparse writes every help text and usage
+error.
+
+Each format has one serializer: ``TABLE_FORMATS`` for a ``Table`` and
+``VERIFY_FORMATS`` for verify rows, which share the CSV and JSON helpers.
+A golden file is named ``{table}_{selector}_{format}.golden``, the
+selector being ``all`` followed by the rank ceiling, ``exceptional``, or
+the listed labels sorted and joined by ``-``.
 
 Exit codes: 0 all verdicts pass, 1 at least one verdict failed or a golden
 check mismatched, 2 usage or input errors.  Big integers are rendered as
@@ -230,14 +236,22 @@ def cmd_tables(args) -> int:
     name = {"all": f"all{ceiling}", "exceptional": "exceptional"}.get(args.types, "-".join(map(str, types)))
     path = Path(args.golden_dir) / f"{args.which}_{name}_{args.format}.golden"
     if args.write_golden:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(document, encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(document, encoding="utf-8")
+        except OSError as exc:
+            raise BadArgs(f"cannot write golden file {path}: {exc}") from None
         print(f"wrote {path}")
         return 0
     if not path.exists():
         print(f"golden file {path} missing", file=sys.stderr)
         return 1
-    if path.read_text(encoding="utf-8") != document:
+    # bytes, so a golden that is not UTF-8 is a mismatch like any other
+    try:
+        golden = path.read_bytes()
+    except OSError as exc:
+        raise BadArgs(f"cannot read golden file {path}: {exc}") from None
+    if golden != document.encode("utf-8"):
         print(f"golden mismatch against {path}", file=sys.stderr)
         return 1
     print(f"golden match: {path}")
@@ -387,8 +401,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tables = sub.add_parser("tables", help="reproduce the reference tables")
-    p_tables.add_argument("which", choices=("rootcurves", "dims"))
-    p_tables.add_argument("--format", choices=TABLE_FORMATS, default="text")
+    p_tables.add_argument(
+        "which", choices=("rootcurves", "dims"),
+        help="rootcurves: the comarks and the printed binomial column; dims: dim X and the End dimensions",
+    )
+    p_tables.add_argument("--format", choices=TABLE_FORMATS, default="text", help="output format")
     p_tables.add_argument("--types", default="all", help="all, exceptional, or a comma list like E8,G2")
     p_tables.add_argument("--rank-max", type=_positive_int, default=None, help=RANK_MAX_HELP)
     p_tables.add_argument("--golden-dir", default=None, help="check output against a fixture file")
@@ -396,10 +413,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run the colour verification sweep")
-    p_verify.add_argument("--types", default="all")
+    p_verify.add_argument("--types", default="all", help="all, exceptional, or a comma list like E8,G2")
     p_verify.add_argument("--rank-max", type=_positive_int, default=None, help=RANK_MAX_HELP)
-    p_verify.add_argument("--mode", choices=("end", "h0"), default="end")
-    p_verify.add_argument("--format", choices=VERIFY_FORMATS, default="text")
+    p_verify.add_argument(
+        "--mode", choices=("end", "h0"), default="end",
+        help="sections each colour counts: end, dim End(V) (the certified route); h0, the full section space",
+    )
+    p_verify.add_argument("--format", choices=VERIFY_FORMATS, default="text", help="output format")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bound = sub.add_parser("bound", help="verdicts for an arbitrary nef divisor")
@@ -408,7 +428,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         "--divisor", required=True,
         help="comma-separated nef coordinates; a value that starts with - needs =, as in --divisor=-1,0",
     )
-    p_bound.add_argument("--format", choices=("text", "json"), default="text")
+    p_bound.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p_bound.set_defaults(func=cmd_bound)
 
     p_alpha = sub.add_parser("alpha", help="estimate an approximation constant empirically")
@@ -416,16 +436,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         "--point", "--P", dest="point", required=True,
         help="target, e.g. 1:0; a value that starts with - needs =, as in --P=-1:2",
     )
-    p_alpha.add_argument("--count", type=int, default=1000)
-    p_alpha.add_argument("--m", type=int, default=1)
+    p_alpha.add_argument("--count", type=int, default=1000, help="number of points on the line, at least 10")
+    p_alpha.add_argument("--m", type=int, default=1, help="height exponent, at least 1")
     p_alpha.add_argument(
         "--place", default="inf",
         help=f"inf or a prime below {PRIME_BOUND}; a larger place exits 2, since no exact primality "
         "test of this cost is known there",
     )
-    p_alpha.add_argument("--tail", type=float, default=0.5)
+    p_alpha.add_argument(
+        "--tail", type=float, default=0.5,
+        help="fraction of the samples the estimators read, in (0, 1]; the tail must hold at least 2 samples",
+    )
     p_alpha.add_argument("--gamma", type=_finite_float, action="append", help="also report the product trend at gamma")
-    p_alpha.add_argument("--format", choices=("text", "json"), default="text")
+    p_alpha.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p_alpha.set_defaults(func=cmd_alpha)
 
     return parser, sub.choices
@@ -436,14 +459,77 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+def _canonical_read(command: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace ``command.parse_known_args(tokens)`` returns, read from
+    the command's own actions, or None if ``tokens`` is not canonical.
+
+    Canonical means that each option token is one of the command's option
+    strings in full and names a store, append or store-const action (never
+    help); that a store or append option is followed by its one value,
+    which does not start with ``-``; that every other token fills the next
+    positional; that each value passes its action's type and choices; and
+    that every required argument is present.  The actions store the values
+    themselves, so ``append`` accumulates and ``store`` keeps the last one,
+    and the defaults are argparse's own, ``set_defaults`` included.
+
+    The actions, defaults and value checks are argparse's private
+    attributes; the tests compare this read with ``parse_known_args`` on
+    every benchmark command line, so a change of them in argparse shows.
+    """
+    defaults = {}
+    for action in command._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, default in command._defaults.items():
+        defaults.setdefault(dest, default)
+    namespace = argparse.Namespace(**defaults)
+    positionals = [action for action in command._actions if not action.option_strings]
+    seen = set()
+    tokens = iter(tokens)
+    try:
+        for token in tokens:
+            action = command._option_string_actions.get(token)
+            if action is None:
+                if token.startswith("-") or not positionals:
+                    return None
+                action, flag, text = positionals.pop(0), None, token
+            elif isinstance(action, argparse._StoreConstAction):
+                action(command, namespace, None, token)
+                seen.add(action)
+                continue
+            else:
+                flag, text = token, next(tokens, "-")
+            if (not isinstance(action, (argparse._StoreAction, argparse._AppendAction))
+                    or action.nargs is not None or text.startswith("-")):
+                return None
+            value = command._get_value(action, text)
+            command._check_value(action, value)
+            action(command, namespace, value, flag)
+            seen.add(action)
+        for action in command._actions:
+            if action in seen:
+                continue
+            if action.required:
+                return None
+            # argparse converts a string default that was not overridden
+            if isinstance(action.default, str) and getattr(namespace, action.dest, None) is action.default:
+                setattr(namespace, action.dest, command._get_value(action, action.default))
+    except argparse.ArgumentError:
+        return None
+    return namespace
+
+
 def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
-    A command line that starts with a subcommand is parsed once, by that
-    subcommand's parser; arguments it does not know are reported by the
-    top-level parser, as argparse reports them itself.  Every other command
-    line (empty, help, an unknown command, an option before the command)
-    goes to the top-level parser, which prints the help or the usage error.
+    A command line that starts with a subcommand and is canonical (see
+    ``_canonical_read``) is read straight from that subcommand's actions,
+    without an argparse parse.  Any other command line after a subcommand
+    is parsed once, by that subcommand's parser, which reports its own
+    usage errors; arguments it does not know are reported by the top-level
+    parser, as argparse reports them itself.  Every other command line
+    (empty, help, an unknown command, an option before the command) goes to
+    the top-level parser, which prints the help or the usage error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _parsers()
@@ -451,9 +537,11 @@ def main(argv=None) -> int:
     if command is None:
         args = parser.parse_args(argv)
     else:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
+        args = _canonical_read(command, argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except EngineError as exc:

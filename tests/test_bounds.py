@@ -260,3 +260,22 @@ def test_full_conjecture_families():
     for st_ in supported_types(12):
         expected = st_.family in ("A", "C") or st_ == SimpleType("B", 2)
         assert full_conjecture_check(st_) == expected, st_
+
+
+def test_classical_end_verdicts_and_their_premises_up_to_rank_40():
+    # The rank-uniform argument for A-D: every comark is 1 or 2; the comark-2
+    # colours are B_r omega_k (2 <= k <= r-1) and D_r omega_k (2 <= k <= r-2),
+    # and each has dim V(omega_k) >= dim V(omega_2) = dim X, so End >= (dim X)^2
+    # exceeds C(dim X + 1, dim X) = dim X + 1.
+    colours = 0
+    for st_ in supported_types(40):
+        if st_.family not in "ABCD":
+            continue
+        rs, r = build_root_system(st_), st_.rank
+        assert set(rs.comark_vector) <= {1, 2}, st_
+        comark2 = {k for k, d in enumerate(rs.comark_vector, start=1) if d == 2}
+        assert comark2 == set(range(2, {"B": r, "D": r - 1}.get(st_.family, 2))), st_
+        assert all(rs.fundamental_dims[k - 1] >= rs.dim_X for k in comark2), st_
+        assert all(verify_colour(st_, k).passed for k in range(1, r + 1)), st_
+        colours += r
+    assert colours == 3272

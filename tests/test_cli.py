@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, build_parser, main, verify_json
+import lieapprox
+from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, _canonical_read, _parsers, build_parser, main, verify_json
 from lieapprox.errors import EngineError
 from lieapprox.rootsys import SimpleType, supported_types
 from lieapprox.tables import dims_table, verification_rows
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(lieapprox.__file__).resolve().parents[1]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # -- report rows ------------------------------------------------------------------
@@ -300,6 +305,45 @@ def test_write_golden_needs_golden_dir(capsys):
     assert captured.err == "error: --write-golden needs --golden-dir\n"
 
 
+def _golden_below_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "sub"
+
+
+def _golden_that_is_a_directory(tmp_path):
+    (tmp_path / "dims_G2_text.golden").mkdir()
+    return tmp_path
+
+
+@pytest.mark.parametrize("golden_dir, write, verb", [
+    # mkdir raises FileExistsError
+    pytest.param(lambda tmp: _golden_below_a_file(tmp).parent, True, "write", id="write-into-a-file"),
+    # mkdir raises NotADirectoryError
+    pytest.param(_golden_below_a_file, True, "write", id="write-below-a-file"),
+    # IsADirectoryError on write and on read
+    pytest.param(_golden_that_is_a_directory, True, "write", id="write-a-directory"),
+    pytest.param(_golden_that_is_a_directory, False, "read", id="read-a-directory"),
+])
+def test_golden_file_system_errors_exit_two(golden_dir, write, verb, tmp_path, capsys):
+    directory = golden_dir(tmp_path)
+    argv = ["tables", "dims", "--types", "G2", "--golden-dir", str(directory)]
+    assert main(argv + ["--write-golden"] * write) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot {verb} golden file {directory / 'dims_G2_text.golden'}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_golden_that_is_not_utf8_is_a_mismatch(tmp_path, capsys):
+    argv = ["tables", "dims", "--types", "G2", "--golden-dir", str(tmp_path)]
+    assert main(argv + ["--write-golden"]) == 0
+    golden = tmp_path / "dims_G2_text.golden"
+    golden.write_bytes(golden.read_bytes() + b"\xff\xfe")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"golden mismatch against {golden}\n"
+
+
 def test_alpha_command(capsys):
     assert main(["alpha", "--P", "1:0", "--count", "100", "--m", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -419,7 +463,7 @@ def test_alpha_padic_place(capsys):
     assert "alpha estimate 1.0" in out
 
 
-# -- dispatch: each command line is parsed once ----------------------------------
+# -- dispatch: a canonical command line is read, any other parsed once ----------
 
 
 def _reference_main(argv):
@@ -469,6 +513,27 @@ _DISPATCH_ARGVS = [
     ["tables", "dims", "--rank-max", "0"],
     ["tables", "dims", "--types", "G2", "--", "extra"],
     ["-h", "verify"],
+    # canonical spellings: store_true, append, a repeated store, the
+    # positional after its options, an empty value
+    ["tables", "dims", "--write-golden", "--types", "G2"],
+    ["alpha", "--P", "1:2", "--count", "20", "--gamma", "2", "--gamma", "0.5", "--format", "json"],
+    ["verify", "--types", "A2", "--format", "json", "--mode", "h0", "--format", "text"],
+    ["tables", "--types", "G2", "--format", "json", "dims"],
+    ["alpha", "--P", ""],
+    ["alpha", "--P", "1:2", "--count", "20", "--place", ""],
+    # argparse's spellings: =, abbreviations, values that start with -
+    ["alpha", "--P=1:2", "--count=20", "--format=json"],
+    ["alpha", "--P", "1:2", "--cou", "20", "--for", "json"],
+    ["tables", "dims", "--typ", "G2", "--write"],
+    ["bound", "--type", "A2", "--divisor", "-1,0"],
+    ["alpha", "--P", "1:2", "--count", "-5"],
+    ["alpha", "--P", "1:2", "--count", "20", "--gamma", "-1"],
+    ["alpha", "--P", "1:2", "--count"],
+    ["verify", "--types", "A2", "extra"],
+    ["tables", "dims", "rootcurves"],
+    ["tables", "--types", "G2"],
+    ["bound", "--type", "A2"],
+    ["alpha", "--P", "1:2", "-h"],
 ]
 
 
@@ -478,17 +543,87 @@ def test_dispatch_matches_a_top_level_parse(argv, monkeypatch):
     assert _outcome(main, argv) == _outcome(_reference_main, argv)
 
 
-def test_a_valid_command_line_is_parsed_once(monkeypatch):
+@pytest.mark.parametrize("argv, parsed", [
+    (["tables", "dims", "--types", "G2"], False),
+    (["alpha", "--P", "1:2", "--count", "20", "--gamma", "1", "--format", "json"], False),
+    (["bound", "--type", "A2", "--divisor", "1,1"], False),
+    (["verify", "--types", "G2", "--mode", "h0"], False),
+    (["tables", "dims", "--types=G2"], True),
+    (["alpha", "--P", "1:2", "--cou", "20"], True),
+    (["bound", "--type", "A2", "--divisor=-1,0"], True),
+    (["verify", "--types", "G2", "--mode", "x"], True),
+])
+def test_argparse_parses_only_a_non_canonical_command_line(argv, parsed, monkeypatch):
     calls = []
     parse = argparse.ArgumentParser.parse_known_args
     monkeypatch.setattr(
         argparse.ArgumentParser, "parse_known_args",
         lambda parser, *args, **kw: calls.append(parser.prog) or parse(parser, *args, **kw),
     )
-    for argv in (["tables", "dims", "--types", "G2"], ["alpha", "--P", "1:2", "--count", "20", "--format", "json"]):
-        calls.clear()
-        assert _outcome(main, argv)[2] == 0
-        assert calls == [f"lieapprox {argv[0]}"]
+    _outcome(main, argv)
+    assert calls == [f"lieapprox {argv[0]}"] * parsed
+
+
+def test_every_benchmark_command_line_is_read_as_argparse_parses_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads, commands = importlib.import_module("workloads"), _parsers()[1]
+    for seed in range(1, 30):
+        for make in workloads.WORKLOADS.values():
+            for argv in make(seed).argvs:
+                command = commands[argv[0]]
+                args = _canonical_read(command, argv[1:])
+                assert args is not None, argv
+                assert command.parse_known_args(argv[1:]) == (args, []), argv
+
+
+_VALUES = ["1", "20", "0", "-1", "1.5", "nan", "x", "", "1:0", "-1:2", "--", "-"]
+_SPELLINGS = ["-h", "--cou", "--for", "--typ", "--format=json", "--P=-1:2", "-", "--"]
+
+
+@st.composite
+def _command_line(draw):
+    """A subcommand and its arguments in any order: each required one about
+    three times in four, then options drawn mostly from the subcommand's own
+    option strings, else from argparse's other spellings, and values mostly
+    valid for their action."""
+    command = _parsers()[1][draw(st.sampled_from(sorted(_parsers()[1])))]
+    actions = command._option_string_actions
+    options = sorted(s for s, action in actions.items() if not isinstance(action, argparse._HelpAction))
+
+    def value(action):
+        valid = sorted(map(str, action.choices)) if action and action.choices else ["1", "20"]
+        return [draw(_mostly(valid, _VALUES))]
+
+    items = [[*action.option_strings[:1], *value(action)]
+             for action in command._actions if action.required and draw(_mostly([True], [False]))]
+    for option in draw(st.lists(_mostly(options, _SPELLINGS), max_size=5)):
+        action = actions.get(option)
+        takes_value = action.nargs != 0 if action else draw(st.booleans())
+        items.append([option, *value(action)] if takes_value and draw(_mostly([True], [False])) else [option])
+    return command, [token for item in draw(st.permutations(items)) for token in item]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_line())
+def test_a_canonical_read_equals_an_argparse_parse(line):
+    command, tokens = line
+    args = _canonical_read(command, tokens)
+    if args is not None:
+        assert command.parse_known_args(tokens) == (args, [])
+
+
+def test_every_argument_has_help():
+    assert [
+        (name, action.dest) for name, command in _parsers()[1].items() for action in command._actions if not action.help
+    ] == []
+
+
+def test_python_dash_m_runs_the_command_line():
+    child = subprocess.run(
+        [sys.executable, "-m", "lieapprox", "tables", "dims", "--types", "G2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=False,
+    )
+    assert (child.stdout, child.stderr, child.returncode) == _outcome(main, ["tables", "dims", "--types", "G2"])
 
 
 # -- renderer sanity -----------------------------------------------------------
@@ -578,12 +713,44 @@ def _alpha_argv(draw):
     return argv
 
 
+_ABBREVIATIONS = {"--count": "--cou", "--format": "--for"}
+
+
+@st.composite
+def _respelled(draw, argvs):
+    """An argv of ``argvs``, in canonical form about half of the time, else
+    respelled once or twice as argparse also reads it: ``--opt=value``, an
+    abbreviation, a repeated option, the ``tables`` positional after its
+    options, an empty value or a value that starts with ``-``."""
+    argv = draw(argvs)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        # (option, value) pairs; a ``tables`` command keeps its positional at 1
+        pairs = [i for i in range(1, len(argv) - 1) if argv[i].startswith("--") and argv[i] != "--write-golden"]
+        how = draw(st.sampled_from(["=", "abbreviate", "repeat", "positional", "empty", "dash"]))
+        if how == "abbreviate":
+            argv = [_ABBREVIATIONS.get(token, token) for token in argv]
+        elif how == "positional":
+            if argv[0] == "tables":
+                argv = [argv[0], *argv[2:], argv[1]]
+        elif pairs:
+            i = draw(st.sampled_from(pairs))
+            option, value = argv[i:i + 2]
+            respelled = {
+                "=": [f"{option}={value}"],
+                "repeat": [option, value, option, value],
+                "empty": [option, ""],
+                "dash": [option, f"-{value}"],
+            }[how]
+            argv = argv[:i] + respelled + argv[i + 2:]
+    return argv
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_verify_argv(), _tables_argv(), _bound_argv(), _alpha_argv()), _env)
+@given(_respelled(st.one_of(_verify_argv(), _tables_argv(), _bound_argv(), _alpha_argv())), _env)
 def test_exit_code_contract(argv, env):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {MAX_RANK_ENV: env}), redirect_stdout(out), redirect_stderr(err):
