@@ -2,15 +2,11 @@
 queries for arbitrary types and nef divisors, and the approximation lab.
 
 It reads arguments, selects types, serializes reports and checks goldens;
-``tables`` builds the reports.  A command line in canonical form (a
-subcommand, then each option spelled in full and followed by its value) is
-read straight from the subcommand parser's own actions, with their types,
-choices and defaults, and costs no argparse parse.  Any other command line
-after a subcommand is parsed once, by that subcommand's parser.  The
-top-level parser serves the rest of the help and the usage errors (no
-command, an unknown one, an option before the command, or arguments the
-subcommand does not know), so argparse writes every help text and usage
-error.
+``tables`` builds the reports.  A command line is read one of two ways.  In
+canonical form (a subcommand, then each option spelled in full and followed
+by its value) it is read straight from the subcommand parser's own actions
+and costs no argparse parse.  Any other command line is parsed by the
+top-level parser, so argparse writes every help text and usage error.
 
 Each format has one serializer: ``TABLE_FORMATS`` for a ``Table`` and
 ``VERIFY_FORMATS`` for verify rows, which share the CSV and JSON helpers.
@@ -243,12 +239,12 @@ def cmd_tables(args) -> int:
             raise BadArgs(f"cannot write golden file {path}: {exc}") from None
         print(f"wrote {path}")
         return 0
-    if not path.exists():
-        print(f"golden file {path} missing", file=sys.stderr)
-        return 1
     # bytes, so a golden that is not UTF-8 is a mismatch like any other
     try:
         golden = path.read_bytes()
+    except FileNotFoundError:
+        print(f"golden file {path} missing", file=sys.stderr)
+        return 1
     except OSError as exc:
         raise BadArgs(f"cannot read golden file {path}: {exc}") from None
     if golden != document.encode("utf-8"):
@@ -464,13 +460,13 @@ def _canonical_read(command: argparse.ArgumentParser, tokens: list[str]) -> argp
     the command's own actions, or None if ``tokens`` is not canonical.
 
     Canonical means that each option token is one of the command's option
-    strings in full and names a store, append or store-const action (never
-    help); that a store or append option is followed by its one value,
-    which does not start with ``-``; that every other token fills the next
-    positional; that each value passes its action's type and choices; and
-    that every required argument is present.  The actions store the values
-    themselves, so ``append`` accumulates and ``store`` keeps the last one,
-    and the defaults are argparse's own, ``set_defaults`` included.
+    strings in full and names a store or append action; that it is followed
+    by its one value, which does not start with ``-``; that every other
+    token fills the next positional; that each value passes its action's
+    type and choices; and that every required argument is present.  The
+    actions store the values themselves, so ``append`` accumulates and
+    ``store`` keeps the last one, and the defaults are argparse's own,
+    ``set_defaults`` included.
 
     The actions, defaults and value checks are argparse's private
     attributes; the tests compare this read with ``parse_known_args`` on
@@ -493,10 +489,6 @@ def _canonical_read(command: argparse.ArgumentParser, tokens: list[str]) -> argp
                 if token.startswith("-") or not positionals:
                     return None
                 action, flag, text = positionals.pop(0), None, token
-            elif isinstance(action, argparse._StoreConstAction):
-                action(command, namespace, None, token)
-                seen.add(action)
-                continue
             else:
                 flag, text = token, next(tokens, "-")
             if (not isinstance(action, (argparse._StoreAction, argparse._AppendAction))
@@ -506,15 +498,9 @@ def _canonical_read(command: argparse.ArgumentParser, tokens: list[str]) -> argp
             command._check_value(action, value)
             action(command, namespace, value, flag)
             seen.add(action)
-        for action in command._actions:
-            if action in seen:
-                continue
-            if action.required:
-                return None
-            # argparse converts a string default that was not overridden
-            if isinstance(action.default, str) and getattr(namespace, action.dest, None) is action.default:
-                setattr(namespace, action.dest, command._get_value(action, action.default))
     except argparse.ArgumentError:
+        return None
+    if any(action.required and action not in seen for action in command._actions):
         return None
     return namespace
 
@@ -524,24 +510,15 @@ def main(argv=None) -> int:
 
     A command line that starts with a subcommand and is canonical (see
     ``_canonical_read``) is read straight from that subcommand's actions,
-    without an argparse parse.  Any other command line after a subcommand
-    is parsed once, by that subcommand's parser, which reports its own
-    usage errors; arguments it does not know are reported by the top-level
-    parser, as argparse reports them itself.  Every other command line
-    (empty, help, an unknown command, an option before the command) goes to
-    the top-level parser, which prints the help or the usage error.
+    without an argparse parse.  Every other command line goes to the
+    top-level parser's ``parse_args``, which prints the help or the usage
+    error itself.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    args = _canonical_read(commands[argv[0]], argv[1:]) if argv and argv[0] in commands else None
+    if args is None:
         args = parser.parse_args(argv)
-    else:
-        args = _canonical_read(command, argv[1:])
-        if args is None:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except EngineError as exc:

@@ -241,17 +241,16 @@ def audit_dim_x(st: SimpleType) -> RowAudit:
     return _audit(str(st), "dimX", (printed_dim_x(st),), (computed_dim_x(st),), False)
 
 
-def header_formula_flags(st: SimpleType, printed: tuple[int, ...] | None = None) -> list[str]:
+def header_formula_flags(st: SimpleType, printed: tuple[int, ...]) -> list[str]:
     """Flags for every cell where the printed binomial column disagrees with
     the threshold formula binom(dim X + d - 1, dim X) its header announces.
 
     The printed values satisfy binom(dim X + d - 2, d - 1), ``table_binomial``;
-    ``printed`` is that row in the table's node order, computed when not given.
+    ``printed`` is that row in the table's node order, as
+    ``computed_curve_binomial_row(st)`` gives it.
     """
     rs = build_root_system(st)
     n = rs.dim_X
-    if printed is None:
-        printed = computed_curve_binomial_row(st)
     out = []
     for pos, (i, printed_form) in enumerate(zip(rootcurve_node_order(st), printed), start=1):
         d = rs.comark_vector[i - 1]

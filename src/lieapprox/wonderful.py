@@ -10,7 +10,6 @@ dimensions add and section counts multiply.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -105,10 +104,9 @@ class NefDivisor(_NefDivisorFields):
         return ";".join(",".join(str(c) for c in block) for block in self.coeffs)
 
 
-@lru_cache(maxsize=None)
 def root_systems(t: SemisimpleType) -> tuple[RootSystem, ...]:
     """Root systems of the simple factors, in order."""
-    return tuple(build_root_system(f) for f in t.factors)
+    return tuple(map(build_root_system, t.factors))
 
 
 def dim_X(t: SemisimpleType) -> int:

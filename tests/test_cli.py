@@ -323,6 +323,9 @@ def _golden_that_is_a_directory(tmp_path):
     # IsADirectoryError on write and on read
     pytest.param(_golden_that_is_a_directory, True, "write", id="write-a-directory"),
     pytest.param(_golden_that_is_a_directory, False, "read", id="read-a-directory"),
+    # read raises NotADirectoryError: the golden cannot exist, so it is not missing
+    pytest.param(lambda tmp: _golden_below_a_file(tmp).parent, False, "read", id="read-into-a-file"),
+    pytest.param(_golden_below_a_file, False, "read", id="read-below-a-file"),
 ])
 def test_golden_file_system_errors_exit_two(golden_dir, write, verb, tmp_path, capsys):
     directory = golden_dir(tmp_path)
@@ -463,7 +466,7 @@ def test_alpha_padic_place(capsys):
     assert "alpha estimate 1.0" in out
 
 
-# -- dispatch: a canonical command line is read, any other parsed once ----------
+# -- dispatch: a canonical command line is read, any other parsed by argparse ---
 
 
 def _reference_main(argv):
@@ -552,6 +555,8 @@ def test_dispatch_matches_a_top_level_parse(argv, monkeypatch):
     (["alpha", "--P", "1:2", "--cou", "20"], True),
     (["bound", "--type", "A2", "--divisor=-1,0"], True),
     (["verify", "--types", "G2", "--mode", "x"], True),
+    (["tables", "dims", "--types", "G2", "--write-golden"], True),
+    (["alpha", "--P", "1:2", "--count", "20", "--gamma", "1", "--gamma", "2"], False),
 ])
 def test_argparse_parses_only_a_non_canonical_command_line(argv, parsed, monkeypatch):
     calls = []
@@ -561,7 +566,8 @@ def test_argparse_parses_only_a_non_canonical_command_line(argv, parsed, monkeyp
         lambda parser, *args, **kw: calls.append(parser.prog) or parse(parser, *args, **kw),
     )
     _outcome(main, argv)
-    assert calls == [f"lieapprox {argv[0]}"] * parsed
+    # the top-level parse runs the subcommand's parse inside it
+    assert calls == ["lieapprox", f"lieapprox {argv[0]}"] * parsed
 
 
 def test_every_benchmark_command_line_is_read_as_argparse_parses_it(monkeypatch):

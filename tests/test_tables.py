@@ -60,7 +60,7 @@ def test_header_formula_flags_exactly_where_comark_exceeds_one():
         from lieapprox.rootsys import build_root_system
 
         rs = build_root_system(st)
-        flags = tables.header_formula_flags(st)
+        flags = tables.header_formula_flags(st, tables.computed_curve_binomial_row(st))
         expected = sum(1 for m in rs.comark_vector if m >= 2)
         assert len(flags) == expected, st
 
