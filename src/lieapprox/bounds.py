@@ -39,9 +39,10 @@ from .wonderful import (
 )
 
 
-def _vanishing_threshold(n: int, d: int) -> int:
-    # Count that h^0 must strictly exceed to force vanishing order >= d.
-    # comb(n - 1, n) = 0 at d = 0: order zero is always forced.
+def vanishing_threshold(n: int, d: int) -> int:
+    """binom(n+d-1, n), the count that h^0 must strictly exceed to force
+    vanishing order >= d in n variables; 0 at d = 0, since order zero is
+    always forced."""
     return comb(n + d - 1, n)
 
 
@@ -56,7 +57,7 @@ def liouville_bound(n: int, h0: int) -> int:
         raise BadArgs(f"liouville_bound needs n >= 1 and h0 >= 1, got n={n}, h0={h0}")
 
     def below(d: int) -> bool:
-        return h0 > comb(n + d - 1, n)
+        return h0 > vanishing_threshold(n, d)
 
     hi = 1
     while below(hi):
@@ -102,7 +103,7 @@ def _make_verdict(n: int, curve_constant: int, available: int, full_conjecture: 
     return Verdict(
         curve_constant=curve_constant,
         dense_lower_bound=dense,
-        required_count=_vanishing_threshold(n, curve_constant),
+        required_count=vanishing_threshold(n, curve_constant),
         available_sections=available,
         full_conjecture=full_conjecture,
     )

@@ -38,6 +38,7 @@ from pathlib import Path
 from . import tables
 from .bounds import verify_nef
 from .dioph import (
+    MAX_COUNT,
     PRIME_BOUND,
     PlaceSpec,
     RationalProjectivePoint,
@@ -328,25 +329,14 @@ def cmd_alpha(args) -> int:
         "tail_max": estimate.tail_max,
         "tail_count": estimate.tail_count,
     }
-    trends = []
-    for gamma in args.gamma or []:
-        trend = boundedness_trend(samples, gamma, tail_fraction=args.tail)
-        trends.append({"gamma": trend.gamma, "slope": trend.slope, "verdict": trend.verdict})
+    trends = [boundedness_trend(samples, gamma, tail_fraction=args.tail)._asdict() for gamma in args.gamma or []]
     if args.format == "json":
         payload["trends"] = trends
         print(_json(payload), end="")
     else:
-        # str() refuses an integer longer than the interpreter's digit limit,
-        # so the sample lines are formatted before anything is printed
-        try:
-            shown = [f"  {s.point}  H = {s.height}  dist = {s.distance}  ratio = {s.ratio:.6f}" for s in samples[-3:]]
-        except ValueError:
-            raise BadArgs(
-                f"the samples have integers of more than {sys.get_int_max_str_digits()} digits; "
-                "lower --count or use --format json"
-            ) from None
         print(f"target {target} at place {place}, {args.count} points on a line, m = {args.m}")
-        print("\n".join(shown))
+        for s in samples[-3:]:
+            print(f"  {s.point}  H = {s.height}  dist = {s.distance}  ratio = {s.ratio:.6f}")
         print(
             f"alpha estimate {estimate.estimate:.6f} "
             f"(tail of {estimate.tail_count}: min {estimate.tail_min:.6f}, max {estimate.tail_max:.6f})"
@@ -432,7 +422,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         "--point", "--P", dest="point", required=True,
         help="target, e.g. 1:0; a value that starts with - needs =, as in --P=-1:2",
     )
-    p_alpha.add_argument("--count", type=int, default=1000, help="number of points on the line, at least 10")
+    p_alpha.add_argument(
+        "--count", type=int, default=1000,
+        help=f"number of points on the line, from 10 to {MAX_COUNT}; exits 2 if the last point's height^m or "
+        "distance denominator, before its gcd is divided out, has more digits than str() prints "
+        "(sys.get_int_max_str_digits(), 4300 by default): no integer of the line is larger",
+    )
     p_alpha.add_argument("--m", type=int, default=1, help="height exponent, at least 1")
     p_alpha.add_argument(
         "--place", default="inf",
@@ -440,7 +435,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         "test of this cost is known there",
     )
     p_alpha.add_argument(
-        "--tail", type=float, default=0.5,
+        "--tail", type=_finite_float, default=0.5,
         help="fraction of the samples the estimators read, in (0, 1]; the tail must hold at least 2 samples",
     )
     p_alpha.add_argument("--gamma", type=_finite_float, action="append", help="also report the product trend at gamma")
@@ -448,11 +443,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_alpha.set_defaults(func=cmd_alpha)
 
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser, shared by every ``main`` call."""
-    return _parsers()[0]
 
 
 def _canonical_read(command: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:

@@ -40,7 +40,9 @@ on the largest |P_k| attains max |i*P + e_j|, so that too is one.  At p
 only the j-th coordinate moves, so g_i = gcd(gcd_{k!=j} P_k, P_j + p^i)
 and the height is max(max_{k!=j} |P_k|, |P_j + p^i|) / g_i, with the
 parts over k != j taken once per line.  ``distance`` and ``make_sample``
-remain the general forms and serve the tests as the oracle for these.
+remain the general forms: with ``height`` and ``PlaceSpec.abs`` they are
+the tests' references and the benchmark tracer's targets, so only a change
+to the benchmark (ROADMAP items 11 and 23) may retire them.
 
 A line is an ``ApproxLine``, a read-only sequence that stores integer
 columns in line order: the heights before their m-th power, the reduced
@@ -49,12 +51,9 @@ over whole columns, with no tuple per sample.  An ``ApproxSample`` (the
 point's coordinates, its height, its distance as a reduced pair of
 integers, and the ratio) is built only when the line is indexed or
 sliced; its ``point`` and ``distance`` (a Fraction) are views built when
-read.  Every constructor here checks its input (``RationalProjectivePoint``
-normalises, ``PlaceSpec`` decides primality, ``ApproxSample`` normalises
-its point, checks its height and reduces its distance), and so does
-``_replace``.  Only ``ApproxLine`` skips a check: its samples are
-primitive and reduced by the closed forms above, so it builds them with
-``tuple.__new__``.
+read.  ``RationalProjectivePoint`` normalises and ``PlaceSpec`` decides
+primality, in the constructor and in ``_replace``; ``ApproxSample`` is a
+plain named tuple, since no function here takes a sample as input.
 
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
@@ -74,6 +73,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
@@ -257,56 +257,20 @@ def distance(
     return Fraction(1, p ** _valuation(math.gcd(*cross), p))
 
 
-class _ApproxSampleFields(NamedTuple):
+class ApproxSample(NamedTuple):
+    """One approximation to a target, stored as integers and one float: the
+    point's coordinates (primitive, first nonzero entry positive), its
+    height (at least 1), its distance dist_num / dist_den in lowest terms
+    with both positive, and the ratio log(height)/(-log(distance)).
+    ``point`` and ``distance`` are views built when read.  A plain named
+    tuple: its builders, ``make_sample`` and ``ApproxLine``, pass it fields
+    that hold all this already."""
+
     coords: tuple[int, ...]
     height: int
     dist_num: int
     dist_den: int
     ratio: float
-
-
-class ApproxSample(_ApproxSampleFields):
-    """One approximation to a target, stored as integers and one float: the
-    point's coordinates (primitive, first nonzero entry positive), its
-    height, its distance dist_num / dist_den in lowest terms with
-    dist_den > 0 and dist_num > 0, and the ratio
-    log(height)/(-log(distance)).  ``point`` and ``distance`` are views
-    built when read.
-
-    The constructor and ``_replace`` check the fields: the coordinates are
-    normalised as by ``RationalProjectivePoint``, the height must be an
-    integer of at least 1, the distance is reduced, and a zero denominator
-    or a negative or zero distance raises BadArgs (a zero distance is the
-    target itself, as ``make_sample`` says).  Only ``ApproxLine``, whose
-    fields hold this by construction, skips the check."""
-
-    __slots__ = ()
-
-    def __new__(cls, coords, height: int, dist_num: int, dist_den: int, ratio: float) -> "ApproxSample":
-        coords = RationalProjectivePoint(coords).coords
-        try:
-            height = operator.index(height)
-        except TypeError:
-            raise BadArgs(f"a sample height must be an integer, got {height!r}") from None
-        if height < 1:
-            raise BadArgs(f"a sample height must be at least 1, got {height}")
-        try:
-            num, den = operator.index(dist_num), operator.index(dist_den)
-        except TypeError:
-            raise BadArgs(f"a sample distance must be a ratio of integers, got {dist_num!r}/{dist_den!r}") from None
-        if den == 0:
-            raise BadArgs(f"a sample distance needs a nonzero denominator, got {num}/{den}")
-        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-        num, den = num // g, den // g
-        if num < 0:
-            raise BadArgs(f"a sample distance cannot be negative, got {num}/{den}")
-        if num == 0:
-            raise BadArgs("sample point coincides with the target")
-        return super().__new__(cls, coords, height, num, den, ratio)
-
-    @classmethod
-    def _make(cls, fields) -> "ApproxSample":
-        return cls(*fields)
 
     @property
     def point(self) -> RationalProjectivePoint:
@@ -397,8 +361,7 @@ class ApproxLine(Sequence):
         return self._sample(range(len(self))[index])
 
     def _sample(self, k: int) -> ApproxSample:
-        """Sample k, the representative at i = k + 1 divided by its gcd; its
-        fields hold the ``ApproxSample`` checks by construction."""
+        """Sample k, the representative at i = k + 1 divided by its gcd."""
         coords, j, p, g = self.target.coords, self._j, self.place.prime, self._gcds[k]
         if p is None:
             rep = [(k + 1) * c for c in coords]
@@ -410,7 +373,7 @@ class ApproxLine(Sequence):
             rep = [c // g for c in rep]
         h = self.heights[k] ** self.m
         num, den = self.nums[k], self.dens[k]
-        return tuple.__new__(ApproxSample, (tuple(rep), h, num, den, _ratio(h, num, den)))
+        return ApproxSample(tuple(rep), h, num, den, _ratio(h, num, den))
 
     @property
     def order(self) -> Sequence[int]:
@@ -433,6 +396,27 @@ class ApproxLine(Sequence):
         return self._tail[1:]
 
 
+#: The most points a line may have.  Its integers stay small at inf, but
+#: not its columns: 100 000 points there take about 0.1 s and 36 MB.
+MAX_COUNT = 100_000
+
+
+def _digits_over(base: int, exponent: int = 1) -> bool:
+    """Whether base ** exponent, for a base of at least 1, has more digits
+    than ``str`` prints (``sys.get_int_max_str_digits()``, 0 for no limit).
+    The power lies in [2 ** ((b - 1) * exponent), 2 ** (b * exponent)), b
+    the base's bit length; only if 10 ** limit lies near it is it computed."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return False
+    bits, b = limit * math.log2(10), base.bit_length()
+    if b * exponent < bits - 1:
+        return False
+    if (b - 1) * exponent > bits + 1:
+        return True
+    return base**exponent >= 10**limit
+
+
 def best_sequence_on_line(
     target: RationalProjectivePoint,
     place: PlaceSpec,
@@ -453,6 +437,12 @@ def best_sequence_on_line(
     since p does not divide g_i, P being primitive.  The columns are built
     in line order by maps over whole columns, with no tuple per sample.
 
+    Before any column, it refuses (BadArgs) a count above MAX_COUNT and a
+    line whose integers may have more digits than ``str`` prints: P_j >= 0,
+    so none exceeds the last representative's largest entry to the m-th
+    power, or its distance denominator before the gcd cancels (that entry
+    times max |P| at inf, p^(count + v) at p).
+
     The points are pairwise distinct, so the line needs no repeated-point
     check: P and e_j are independent, so a multiple of i*P + e_j equal to
     i'*P + e_j has e_j-coefficient 1 and i = i', and one of P + p^i e_j
@@ -465,6 +455,8 @@ def best_sequence_on_line(
     """
     if count < 10:
         raise TooFewPoints(f"need at least 10 points, got {count}")
+    if count > MAX_COUNT:
+        raise BadArgs(f"a line holds at most {MAX_COUNT} points, got {count}")
     if m < 1:
         raise BadArgs(f"height exponent must be positive, got {m}")
     coords = target.coords
@@ -475,40 +467,58 @@ def best_sequence_on_line(
     p = place.prime
     if p is None:
         # |i*P_k + [k = j]| = a_k + (i - 1)*|P_k| with a_k = |P_k + [k = j]|,
-        # since i*|P_k| >= 1 keeps the sign of P_k when P_k != 0
-        firsts = [abs(c + (k == j)) for k, c in enumerate(coords)]
-        columns = [range(a, a + count * abs(c), abs(c)) if c else [a] * count for a, c in zip(firsts, coords)]
-        gcds = list(map(math.gcd, *columns))
-        # a_k <= |P_k| + 1, so from i = 2 on a coordinate of the largest |P_k|
+        # since i*|P_k| >= 1 keeps the sign of P_k when P_k != 0.  a_k <=
+        # |P_k| + 1, so from i = 2 on a coordinate of the largest |P_k|
         # attains max |i*P + e_j|: the one of them with the largest a_k
+        firsts = [abs(c + (k == j)) for k, c in enumerate(coords)]
         size = max(map(abs, coords))
         lead = max(a for a, c in zip(firsts, coords) if abs(c) == size)
-        tops = [max(firsts), *range(lead + size, lead + count * size, size)]
-        heights = list(map(operator.floordiv, tops, gcds))
-        cross = max(map(abs, others))
-        raw = list(map(operator.mul, tops, repeat(size)))
-        cancel = list(map(math.gcd, raw, repeat(cross)))
-        nums = list(map(operator.floordiv, repeat(cross), cancel))
-        dens = list(map(operator.floordiv, raw, cancel))
+        last = lead + (count - 1) * size
+        too_long = _digits_over(last, m) or _digits_over(last * size)
     else:
         # only the j-th coordinate moves: the others' gcd and height are constant
         common = math.gcd(*others)
         top = max(map(abs, others))
-        scale = p ** _valuation(common, p)
-        steps = list(accumulate(repeat(p, count), operator.mul))
-        moved = list(map(operator.add, steps, repeat(coords[j])))
-        tops = list(map(abs, moved))
-        # |P_j + p^i| >= p^i - |P_j| >= top once p^i >= top + |P_j|
-        below = bisect_left(steps, top + abs(coords[j]))
-        tops[:below] = map(max, repeat(top), tops[:below])
-        if common == 1:
-            gcds, heights = [1] * count, tops
-        else:
-            gcds = list(map(math.gcd, moved, repeat(common)))
-            heights = list(map(operator.floordiv, tops, gcds))
-        nums = [1] * count
-        dens = steps if scale == 1 else list(map(operator.mul, steps, repeat(scale)))
-    return ApproxLine(target, place, j, m, gcds, heights, nums, dens)
+        v = _valuation(common, p)
+        too_long = _digits_over(p, count + v) or _digits_over(max(top, abs(coords[j] + p**count)), m)
+    if too_long:
+        raise BadArgs(f"the integers of a line of {count} points at {place} with m = {m} may exceed "
+                      f"{sys.get_int_max_str_digits()} digits, the most str() prints; lower the count or m")
+    columns = (_inf_columns(coords, count, firsts, size, lead, max(map(abs, others))) if p is None
+               else _prime_columns(coords[j], p, count, common, top, v))
+    return ApproxLine(target, place, j, m, *columns)
+
+
+def _inf_columns(coords, count: int, firsts: list[int], size: int, lead: int, cross: int) -> tuple[list[int], ...]:
+    """The gcd, height, distance numerator and denominator columns at inf;
+    ``cross`` is max_{k!=j} |P_k|, and the rest is as named above."""
+    columns = [range(a, a + count * abs(c), abs(c)) if c else [a] * count for a, c in zip(firsts, coords)]
+    gcds = list(map(math.gcd, *columns))
+    tops = [max(firsts), *range(lead + size, lead + count * size, size)]
+    heights = list(map(operator.floordiv, tops, gcds))
+    raw = list(map(operator.mul, tops, repeat(size)))
+    cancel = list(map(math.gcd, raw, repeat(cross)))
+    nums = list(map(operator.floordiv, repeat(cross), cancel))
+    dens = list(map(operator.floordiv, raw, cancel))
+    return gcds, heights, nums, dens
+
+
+def _prime_columns(moving: int, p: int, count: int, common: int, top: int, v: int) -> tuple[list[int], ...]:
+    """The gcd, height, distance numerator and denominator columns at p,
+    from P_j (``moving``) and the other coordinates' gcd, top and v."""
+    steps = list(accumulate(repeat(p, count), operator.mul))
+    moved = list(map(operator.add, steps, repeat(moving)))
+    tops = list(map(abs, moved))
+    # |P_j + p^i| >= p^i - |P_j| >= top once p^i >= top + |P_j|
+    below = bisect_left(steps, top + abs(moving))
+    tops[:below] = map(max, repeat(top), tops[:below])
+    if common == 1:
+        gcds, heights = [1] * count, tops
+    else:
+        gcds = list(map(math.gcd, moved, repeat(common)))
+        heights = list(map(operator.floordiv, tops, gcds))
+    dens = steps if v == 0 else list(map(operator.mul, steps, repeat(p**v)))
+    return gcds, heights, [1] * count, dens
 
 
 class AlphaEstimate(NamedTuple):

@@ -18,8 +18,9 @@ only when its mask lies inside the support.  No floating point anywhere.
 ``dominance_box`` bounds the simple-root coordinates of lam - eta (the
 inverse Cartan matrix of a finite type has non-negative entries).  The
 engine no longer scans it.  It stays, with ``dominance_box_size`` and
-``_solve_cartan``, as the tests' independent oracle and because the
-benchmark's tracer (``perfbench/tracer.py``) times ``dominance_box_size``.
+``_solve_cartan``, because they are the tests' independent oracle and the
+benchmark's tracer (``perfbench/tracer.py``) times ``dominance_box_size``;
+only a change to the benchmark (ROADMAP items 11 and 23) may retire them.
 """
 
 from __future__ import annotations

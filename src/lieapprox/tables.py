@@ -27,7 +27,7 @@ from collections import Counter
 from math import comb
 from typing import NamedTuple
 
-from .bounds import table_binomial, verify_colour
+from .bounds import table_binomial, vanishing_threshold, verify_colour
 from .rootsys import SimpleType, build_root_system
 
 EXCEPTIONAL_LABELS = ("E6", "E7", "E8", "F4", "G2")
@@ -254,7 +254,7 @@ def header_formula_flags(st: SimpleType, printed: tuple[int, ...]) -> list[str]:
     out = []
     for pos, (i, printed_form) in enumerate(zip(rootcurve_node_order(st), printed), start=1):
         d = rs.comark_vector[i - 1]
-        header_form = comb(n + d - 1, n)
+        header_form = vanishing_threshold(n, d)
         if printed_form != header_form:
             out.append(
                 f"{st} entry {pos}: printed column satisfies C({n}+{d}-2,{d}-1)={printed_form}, "

@@ -37,10 +37,6 @@ class SemisimpleType(_SemisimpleTypeFields):
         return cls(*fields)
 
     @classmethod
-    def of(cls, *factors: SimpleType) -> "SemisimpleType":
-        return cls(tuple(factors))
-
-    @classmethod
     def parse(cls, label: str) -> "SemisimpleType":
         """Parse labels like ``E8`` or ``A1xA1`` (separators: x, X, *); a
         label with an empty factor, as in ``A1xxA2`` or ``xA1``, is refused."""

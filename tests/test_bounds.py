@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lieapprox.bounds import (
     NefReport,
     Verdict,
-    _vanishing_threshold,
+    vanishing_threshold,
     full_conjecture_check,
     liouville_bound,
     table_binomial,
@@ -31,10 +31,10 @@ def _st(label):
 
 
 def test_monomial_count_small_cases():
-    assert _vanishing_threshold(3, 3) == 10  # 1 + 3 + 6
-    assert _vanishing_threshold(5, 1) == 1
-    assert _vanishing_threshold(1, 8) == 8
-    assert _vanishing_threshold(4, 0) == 0
+    assert vanishing_threshold(3, 3) == 10  # 1 + 3 + 6
+    assert vanishing_threshold(5, 1) == 1
+    assert vanishing_threshold(1, 8) == 8
+    assert vanishing_threshold(4, 0) == 0
 
 
 def test_monomial_count_by_explicit_product():
@@ -43,8 +43,8 @@ def test_monomial_count_by_explicit_product():
         num = 1
         for j in range(1, e + 1):
             num *= n + j
-        assert _vanishing_threshold(n, e + 1) == num // factorial(e)
-    assert _vanishing_threshold(248, 4) == 2604125
+        assert vanishing_threshold(n, e + 1) == num // factorial(e)
+    assert vanishing_threshold(248, 4) == 2604125
 
 
 def test_liouville_bound_examples():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lieapprox
-from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, _canonical_read, _parsers, build_parser, main, verify_json
+from lieapprox.cli import MAX_RANK_ENV, TABLE_FORMATS, _canonical_read, _parsers, main, verify_json
 from lieapprox.errors import EngineError
 from lieapprox.rootsys import SimpleType, supported_types
 from lieapprox.tables import dims_table, verification_rows
@@ -420,27 +420,6 @@ def test_alpha_at_a_large_prime_place(capsys):
     assert capsys.readouterr().err.startswith(f"error: {2**89 - 1} is too large")
 
 
-def test_alpha_text_refuses_integers_past_the_digit_limit(capsys):
-    refusal = "error: the samples have integers of more than 4300 digits; lower --count or use --format json\n"
-    # (2^61 - 1)^300 has about 5 500 digits.  On (1 : 2) at 7 the last
-    # distance denominator is 7^count, which has 4 300 digits at count 5088
-    # and 4 301 at 5089, so there only the last shown sample is too long.
-    big = ["alpha", "--P", "1:2", "--place", str(2**61 - 1), "--count", "300"]
-    edge = ["alpha", "--P", "1:2", "--place", "7", "--count"]
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        for argv in (big, edge + ["5089"]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", refusal)
-        assert main(edge + ["5088"]) == 0
-        assert capsys.readouterr().out.startswith("target (1 : 2) at place 7, 5088 points")
-        assert main(big + ["--format", "json"]) == 0
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 @pytest.mark.parametrize("argv, value, code, reply", [
     (["bound", "--type", "A2", "--divisor"], "-1,0", 2, "error: negative nef coordinate"),
     (["alpha", "--count", "20", "--P"], "-1:2", 0, "target (1 : -2)"),
@@ -471,7 +450,7 @@ def test_alpha_padic_place(capsys):
 
 def _reference_main(argv):
     """``main`` with every command line parsed by the top-level parser."""
-    args = build_parser().parse_args(argv)
+    args = _parsers()[0].parse_args(argv)
     try:
         return args.func(args)
     except EngineError as exc:

@@ -1,6 +1,8 @@
 import io
 import math
-from contextlib import redirect_stdout
+import re
+import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import oracles
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from lieapprox.cli import main
 from lieapprox.dioph import (
+    MAX_COUNT,
     PRIME_BOUND,
     AlphaEstimate,
     ApproxLine,
@@ -244,13 +247,14 @@ def test_best_sequence_on_line_refuses_a_nonpositive_exponent():
             best_sequence_on_line(Point((1, 2, 3)), PlaceSpec.at(3), 20, m=m)
 
 
-def _line_representatives(target, place, count):
-    """The representatives i*P + e_j (inf) or P + p^i e_j (prime p), not yet
-    divided by their gcd, for the first e_j independent of P."""
+def _line_representatives(target, place, count, first=1):
+    """The representatives i*P + e_j (inf) or P + p^i e_j (prime p) for i
+    from ``first`` to ``count``, not yet divided by their gcd, for the first
+    e_j independent of P."""
     coords = target.coords
     n = len(coords)
     j = next(j for j in range(n) if any(c for k, c in enumerate(coords) if k != j))
-    for i in range(1, count + 1):
+    for i in range(first, count + 1):
         if place.prime is None:
             yield tuple(i * c + (k == j) for k, c in enumerate(coords))
         else:
@@ -310,8 +314,6 @@ def test_line_samples_match_make_sample(target, prime, count, m):
         assert sample.point == Point(sample.coords)
         assert sample.distance == distance(sample.point, target, place)
         assert den > 0 and math.gcd(num, den) == 1
-        # the line skips the checking constructor, which leaves its fields as they are
-        assert ApproxSample._make(sample) == sample
         general = _ratio(sample.height, num, den)
         assert sample.ratio == general or math.isnan(sample.ratio) and math.isnan(general)
 
@@ -442,12 +444,10 @@ def test_the_estimators_take_only_a_line(name):
 
 def test_a_height_below_one_is_refused_where_the_sample_is_built():
     # A first sample of height 0 once reached the trend, whose log(0) raised
-    # a bare ValueError ("math domain error").
-    rows = [(h, 1, 2 ** (h + 1), h / (h + 1)) for h in range(20)]
-    with pytest.raises(BadArgs, match="a sample height must be at least 1, got 0"):
-        [ApproxSample((1, k), *row) for k, row in enumerate(rows)]
-    # the least height a sample can have is 1, and the trend reads it: the
-    # first sample on (1 : 0) at inf is (1 : 1), of height 1 and distance 1
+    # a bare ValueError ("math domain error").  Samples are built only from
+    # a line or by make_sample, whose heights are at least 1, and the trend
+    # reads the least of them: the first sample on (1 : 0) at inf is
+    # (1 : 1), of height 1 and distance 1
     line = best_sequence_on_line(P10, INF, 20)
     assert (line[0].height, line[0].distance) == (1, 1)
     assert boundedness_trend(line, 2.0, tail_fraction=1.0).verdict == "bounded"
@@ -611,9 +611,8 @@ def test_the_cli_builds_only_the_samples_it_prints(fmt, built, monkeypatch):
     # The estimate and the trends read the line's columns; text mode prints
     # the last three samples, and JSON mode none.
     calls = []
-    take, new = ApproxLine._sample, ApproxSample.__new__
+    take = ApproxLine._sample
     monkeypatch.setattr(ApproxLine, "_sample", lambda line, k: calls.append(k) or take(line, k))
-    monkeypatch.setattr(ApproxSample, "__new__", lambda cls, *args: calls.append(args) or new(cls, *args))
     with redirect_stdout(io.StringIO()) as out:
         assert main(_ALPHA_2000 + ["--gamma", "1", "--gamma", "2", "--format", fmt]) == 0
     assert calls == [1997, 1998, 1999][:built]
@@ -622,6 +621,126 @@ def test_the_cli_builds_only_the_samples_it_prints(fmt, built, monkeypatch):
         assert len(shown) == 22 and '  "estimate": 1.0,' in shown
     else:
         assert len(shown) == 7 and shown[4] == "alpha estimate 1.000000 (tail of 1000: min 1.000000, max 1.000000)"
+
+
+# -- refusing a line before any column is built -------------------------------------
+
+
+class _Built(Exception):
+    """A column builder ran where a test forbids it."""
+
+
+def _forbid_columns(monkeypatch):
+    def build(*args):
+        raise _Built
+    for name in ("_inf_columns", "_prime_columns"):
+        monkeypatch.setattr(f"lieapprox.dioph.{name}", build)
+
+
+@contextmanager
+def _default_digit_limit():
+    """Python's default limit, 4300, on the digits ``str`` prints."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _within_the_digit_limit(target, prime, count, m):
+    """Whether the line's last representative, before its gcd is divided
+    out, keeps its largest entry to the m-th power and its distance
+    denominator (that entry times max |P| at inf, the general distance's
+    denominator at p) within 4300 digits.  An integer of at least 2^15000
+    is over (10^4300 < 2^14285), and is not computed."""
+    if prime is not None and count * (prime.bit_length() - 1) >= 15_000:
+        return False  # the denominator p^(count + v) is at least 2^15000
+    place = PlaceSpec(prime)
+    (last,) = _line_representatives(target, place, count, first=count)
+    entry = max(map(abs, last))
+    if m * (entry.bit_length() - 1) >= 15_000:
+        return False
+    if prime is None:
+        den = entry * max(map(abs, target.coords))
+    else:
+        den = distance(Point(last), target, place).denominator
+    return max(entry**m, den) < 10**4300
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _line_target(),
+    st.sampled_from([None, 2, 7, 2**61 - 1]),
+    st.integers(8, 60) | st.integers(4_000, 16_000) | st.integers(MAX_COUNT - 1, MAX_COUNT + 1)
+    | st.integers(10**6, 10**25),
+    st.integers(1, 3) | st.integers(-1, 3) | st.integers(1_000, 5_000) | st.integers(10**6, 10**30),
+    st.sampled_from(["text", "json"]),
+)
+def test_every_refusal_comes_before_a_column(target, prime, count, m, fmt):
+    # With the column builders raising, a refused line exits 2 with one
+    # error line, and an accepted one reaches a builder.
+    place = "inf" if prime is None else str(prime)
+    argv = ["alpha", "--P", ":".join(map(str, target.coords)), "--place", place, "--count", str(count),
+            f"--m={m}", "--format", fmt]
+    refused = not (10 <= count <= MAX_COUNT and m >= 1 and _within_the_digit_limit(target, prime, count, m))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, _default_digit_limit(), redirect_stdout(out), redirect_stderr(err):
+        _forbid_columns(patch)
+        if refused:
+            assert main(argv) == 2
+        else:
+            with pytest.raises(_Built):
+                main(argv)
+    if refused:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--P", "1:2", "--count", "50", "--m", "3000000", "--format", "json"],
+     "error: the integers of a line of 50 points at inf with m = 3000000 may exceed 4300 digits, "
+     "the most str() prints; lower the count or m\n"),
+    (["--P", "1:2", "--count", "100000000000000000000"],
+     "error: a line holds at most 100000 points, got 100000000000000000000\n"),
+])
+def test_a_line_too_large_to_hold_is_refused_unbuilt(argv, message, monkeypatch, capsys):
+    # Each of these once ran until a timeout killed it: the exact m-th
+    # powers of the tail, and a line of 10^20 points.
+    _forbid_columns(monkeypatch)
+    with _default_digit_limit():
+        assert main(["alpha", *argv]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+#: Lines on both sides of the digit rule.  The larger of the last point's
+#: height^m and distance denominator, before its gcd is divided out, is
+#: 10^4299 at inf; 2^14284 (the height) at 2; 7^5088 (the denominator) on
+#: (1 : 2) at 7, where the height 1 + 7^5088 has as many digits; and 7^5088
+#: again (the denominator, v = 2) on (1 : 49).  One point or one power more
+#: has 4 301 digits.
+_DIGIT_EDGES = [
+    (["--P", "1:0", "--count", "10", "--m"], 4299),
+    (["--P", "1:0", "--place", "2", "--m", "2", "--count"], 7142),
+    (["--P", "1:2", "--place", "7", "--count"], 5088),
+    (["--P", "1:49", "--place", "7", "--count"], 5086),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, edge", _DIGIT_EDGES, ids=["inf", "2", "7", "7-offset"])
+def test_alpha_refuses_integers_past_the_digit_limit(argv, edge, fmt, capsys):
+    with _default_digit_limit():
+        assert main(["alpha", *argv, str(edge + 1), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the integers of a line of ")
+        assert captured.err.endswith(" may exceed 4300 digits, the most str() prints; lower the count or m\n")
+        assert main(["alpha", *argv, str(edge), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+    if fmt == "text":
+        # the last sample holds an integer of exactly 4 300 digits
+        assert max(map(len, re.findall(r"\d+", out))) == 4300
 
 
 # -- the boundedness dichotomy ------------------------------------------------------

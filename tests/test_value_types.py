@@ -41,7 +41,6 @@ SRC = Path(lieapprox.__file__).resolve().parents[1]
 _A2 = build_root_system(SimpleType("A", 2))
 _POINT = RationalProjectivePoint((2, -4, 6))
 _VERDICT = Verdict(1, 2, 3, 4, False)
-_SAMPLE = ApproxSample((1, 2), 2, 1, 4, 0.5)
 
 #: One instance of each value type, its field names and its repr.
 SAMPLES = [
@@ -236,25 +235,6 @@ VALIDATIONS = [
     (lambda: PlaceSpec(2.0), BadArgs, "prime must be an integer, got 2.0"),
     (lambda: PlaceSpec("3"), BadArgs, "prime must be an integer, got '3'"),
     (lambda: PlaceSpec(3)._replace(prime=2.0), BadArgs, "prime must be an integer, got 2.0"),
-    (lambda: ApproxSample((0, 0), 1, 1, 2, 0.5), BadArgs, "the zero vector is not a projective point"),
-    (lambda: ApproxSample((1.5, 2), 2, 1, 2, 0.5), BadArgs,
-     "projective coordinates must be integers, got (1.5, 2)"),
-    (lambda: ApproxSample((1, 2), 2, 1, 0, 0.5), BadArgs, "a sample distance needs a nonzero denominator, got 1/0"),
-    (lambda: ApproxSample((1, 2), 2, -1, 4, 0.5), BadArgs, "a sample distance cannot be negative, got -1/4"),
-    (lambda: ApproxSample((1, 2), 2, 2, -4, 0.5), BadArgs, "a sample distance cannot be negative, got -1/2"),
-    (lambda: ApproxSample((1, 2), 2, 0.5, 2, 0.5), BadArgs,
-     "a sample distance must be a ratio of integers, got 0.5/2"),
-    (lambda: _SAMPLE._replace(dist_den=0), BadArgs, "a sample distance needs a nonzero denominator, got 1/0"),
-    (lambda: ApproxSample((1, 2), 2, 0, 5, 0.5), BadArgs, "sample point coincides with the target"),
-    (lambda: ApproxSample((1, 2), 2, 0, -5, 0.5), BadArgs, "sample point coincides with the target"),
-    (lambda: _SAMPLE._replace(dist_num=0), BadArgs, "sample point coincides with the target"),
-    (lambda: _SAMPLE._replace(coords=(0, 0)), BadArgs, "the zero vector is not a projective point"),
-    (lambda: ApproxSample((1, 2), "x", 1, 2, "r"), BadArgs, "a sample height must be an integer, got 'x'"),
-    (lambda: ApproxSample((1, 2), 2.0, 1, 2, 0.5), BadArgs, "a sample height must be an integer, got 2.0"),
-    (lambda: ApproxSample((1, 2), 0, 1, 2, 0.5), BadArgs, "a sample height must be at least 1, got 0"),
-    (lambda: ApproxSample((1, 2), -3, 1, 2, 0.5), BadArgs, "a sample height must be at least 1, got -3"),
-    (lambda: _SAMPLE._replace(height=0), BadArgs, "a sample height must be at least 1, got 0"),
-    (lambda: _SAMPLE._replace(height=1.5), BadArgs, "a sample height must be an integer, got 1.5"),
 ]
 
 
@@ -267,12 +247,6 @@ def test_validation_class_and_message(build, error, message):
 
 def test_replace_normalises_a_projective_point():
     assert _POINT._replace(coords=(0, -3, 6)).coords == (0, 1, -2)
-
-
-def test_a_sample_normalises_its_point_and_reduces_its_distance():
-    sample = ApproxSample((-2, 4), 2, -2, -8, 0.5)
-    assert (sample.coords, sample.dist_num, sample.dist_den) == ((1, -2), 1, 4)
-    assert _SAMPLE._replace(coords=(3, 6), dist_num=-3, dist_den=-15) == ((1, 2), 2, 1, 5, 0.5)
 
 
 def test_root_system_invariants_stay_cached():

@@ -39,7 +39,7 @@ def test_dim_x_closed_forms_all_ranks():
         "G": lambda n: 14,
     }
     for st in supported_types(12):
-        assert dim_X(SemisimpleType.of(st)) == closed[st.family](st.rank), st
+        assert dim_X(SemisimpleType((st,))) == closed[st.family](st.rank), st
 
 
 def test_dim_x_additive_over_factors():
