@@ -29,9 +29,13 @@ from lieapprox import (
     RationalProjectivePoint,
     SemisimpleType,
     SimpleType,
+    TooFewPoints,
     Trend,
     Verdict,
+    best_sequence_on_line,
     build_root_system,
+    height,
+    make_sample,
     supported_types,
 )
 from lieapprox.tables import ReportRow, RowAudit, Table, TableRow
@@ -41,6 +45,7 @@ SRC = Path(lieapprox.__file__).resolve().parents[1]
 _A2 = build_root_system(SimpleType("A", 2))
 _POINT = RationalProjectivePoint((2, -4, 6))
 _VERDICT = Verdict(1, 2, 3, 4, False)
+_INF = PlaceSpec(None)
 
 #: One instance of each value type, its field names and its repr.
 SAMPLES = [
@@ -235,6 +240,21 @@ VALIDATIONS = [
     (lambda: PlaceSpec(2.0), BadArgs, "prime must be an integer, got 2.0"),
     (lambda: PlaceSpec("3"), BadArgs, "prime must be an integer, got '3'"),
     (lambda: PlaceSpec(3)._replace(prime=2.0), BadArgs, "prime must be an integer, got 2.0"),
+    # A sample is built by make_sample or by a line, which refuse what a
+    # sample cannot hold before they build one.
+    (lambda: make_sample(_POINT, _POINT, _INF), BadArgs, "sample point coincides with the target"),
+    (lambda: make_sample(RationalProjectivePoint((-2, 4)), RationalProjectivePoint((1, -2)), PlaceSpec(3)),
+     BadArgs, "sample point coincides with the target"),
+    (lambda: make_sample(RationalProjectivePoint((-1, -2)), RationalProjectivePoint((1, 2)), PlaceSpec(2), 3),
+     BadArgs, "sample point coincides with the target"),
+    (lambda: make_sample(RationalProjectivePoint((1, 3)), RationalProjectivePoint((1, 2)), _INF, 0), BadArgs,
+     "height exponent must be positive, got 0"),
+    (lambda: height(_POINT, -2), BadArgs, "height exponent must be positive, got -2"),
+    (lambda: best_sequence_on_line(_POINT, _INF, 9), TooFewPoints, "need at least 10 points, got 9"),
+    (lambda: best_sequence_on_line(_POINT, _INF, 100_001), BadArgs,
+     "a line holds at most 100000 points, got 100001"),
+    (lambda: best_sequence_on_line(_POINT, PlaceSpec(7), 10**20, 2), BadArgs,
+     "a line holds at most 100000 points, got 100000000000000000000"),
 ]
 
 
@@ -247,6 +267,17 @@ def test_validation_class_and_message(build, error, message):
 
 def test_replace_normalises_a_projective_point():
     assert _POINT._replace(coords=(0, -3, 6)).coords == (0, 1, -2)
+
+
+def test_make_sample_normalises_its_point_and_reduces_its_distance():
+    # (-2 : 4) is (1 : -2), whose distance to (1 : 2) at inf is
+    # |1*2 - (-2)*1| / (2 * 2) = 1; (3 : 42) is (1 : 14), whose distance at
+    # 2 is 2^-v_2(1*2 - 14*1) = 1/4, and whose height with m = 2 is 14^2.
+    target = RationalProjectivePoint((1, 2))
+    sample = make_sample(RationalProjectivePoint((-2, 4)), target, _INF)
+    assert (sample.coords, sample.height, sample.dist_num, sample.dist_den) == ((1, -2), 2, 1, 1)
+    sample = make_sample(RationalProjectivePoint((3, 6 + 36)), target, PlaceSpec(2), 2)
+    assert (sample.coords, sample.height, sample.dist_num, sample.dist_den) == ((1, 14), 196, 1, 4)
 
 
 def test_root_system_invariants_stay_cached():
