@@ -22,7 +22,6 @@ from .dioph import (
     best_sequence_on_line,
     boundedness_trend,
     distance,
-    height,
     make_sample,
 )
 from .errors import (

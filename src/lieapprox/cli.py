@@ -310,15 +310,12 @@ def cmd_bound(args) -> int:
 
 def cmd_alpha(args) -> int:
     target = RationalProjectivePoint.parse(args.point)
-    if args.place == "inf":
-        place = PlaceSpec.archimedean()
-    else:
-        try:
-            place = PlaceSpec.at(int(args.place))
-        except ValueError:
-            raise BadArgs(f"place must be inf or a prime, got {args.place!r}") from None
-    samples = best_sequence_on_line(target, place, args.count, m=args.m)
-    estimate = alpha_estimate(samples, tail_fraction=args.tail)
+    try:
+        place = PlaceSpec(None if args.place == "inf" else int(args.place))
+    except ValueError:
+        raise BadArgs(f"place must be inf or a prime, got {args.place!r}") from None
+    samples = best_sequence_on_line(target, place, args.count, m=args.m, tail_fraction=args.tail)
+    estimate = alpha_estimate(samples)
     payload = {
         "target": str(target),
         "place": str(place),
@@ -329,7 +326,7 @@ def cmd_alpha(args) -> int:
         "tail_max": estimate.tail_max,
         "tail_count": estimate.tail_count,
     }
-    trends = [boundedness_trend(samples, gamma, tail_fraction=args.tail)._asdict() for gamma in args.gamma or []]
+    trends = [boundedness_trend(samples, gamma)._asdict() for gamma in args.gamma or []]
     if args.format == "json":
         payload["trends"] = trends
         print(_json(payload), end="")

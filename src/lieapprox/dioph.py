@@ -40,31 +40,34 @@ on the largest |P_k| attains max |i*P + e_j|, so that too is one.  At p
 only the j-th coordinate moves, so g_i = gcd(gcd_{k!=j} P_k, P_j + p^i)
 and the height is max(max_{k!=j} |P_k|, |P_j + p^i|) / g_i, with the
 parts over k != j taken once per line.  ``distance`` and ``make_sample``
-remain the general forms: with ``height`` and ``PlaceSpec.abs`` they are
-the tests' references and the benchmark tracer's targets, so only a change
-to the benchmark (ROADMAP items 11 and 23) may retire them.
+remain the general forms: with ``PlaceSpec.abs`` they are the tests'
+references and the benchmark tracer's targets, so only a change to the
+benchmark (ROADMAP items 11 and 23) may retire them.
 
 A line is an ``ApproxLine``, a read-only sequence that stores integer
 columns in line order: the heights before their m-th power, the reduced
 distances and the gcds of the representatives.  They are built by maps
-over whole columns, with no tuple per sample.  An ``ApproxSample`` (the
-point's coordinates, its height, its distance as a reduced pair of
-integers, and the ratio) is built only when the line is indexed or
-sliced; its ``point`` and ``distance`` (a Fraction) are views built when
-read.  ``RationalProjectivePoint`` normalises and ``PlaceSpec`` decides
+over whole columns, with no tuple per sample.  The line also holds where
+its tail starts, which ``best_sequence_on_line`` computes from the count
+and the tail fraction, and refuses, before any column, when the tail
+would hold fewer than 2 samples.  An ``ApproxSample`` (the point's
+coordinates, its height, its distance as a reduced pair of integers, and
+the ratio) is built only when the line is indexed or sliced; its
+``point`` and ``distance`` (a Fraction) are views built when read.
+``RationalProjectivePoint`` normalises and ``PlaceSpec`` decides
 primality, in the constructor and in ``_replace``; ``ApproxSample`` is a
 plain named tuple, since no function here takes a sample as input.
 
 The liminf defining the constant is not computable from finitely many
 samples; the estimator reports the median of the ratio log H / (-log dist)
-over a configurable tail, together with the tail extremes.  Both
-estimators take a line, and only a line, and read its columns.  The line
-orders its indices by a stable sort on the integer heights and keeps that
-order for every later read; its distances strictly decrease along the
-line, so at equal height the larger distance comes first.  The m-th
-powers, the logarithms and the ratios are computed for the tail only, and
-the estimate and every trend of that tail share the logarithms; log(dist)
-is log(numerator) - log(denominator).  A line's points are distinct and
+over the line's tail, together with the tail extremes.  Both estimators
+take a line, and only a line, and read its columns.  The line orders its
+indices by a stable sort on the integer heights and keeps that order for
+every later read; its distances strictly decrease along the line, so at
+equal height the larger distance comes first.  The m-th powers, the
+logarithms and the ratios are computed for the tail only, and the
+estimate and every trend share the logarithms; log(dist) is
+log(numerator) - log(denominator).  A line's points are distinct and
 its distances go to 0, so the estimators check neither, and neither
 builds a Fraction.
 """
@@ -201,14 +204,6 @@ class PlaceSpec(_PlaceSpecFields):
     def _make(cls, fields) -> "PlaceSpec":
         return cls(*fields)
 
-    @classmethod
-    def archimedean(cls) -> "PlaceSpec":
-        return cls(None)
-
-    @classmethod
-    def at(cls, p: int) -> "PlaceSpec":
-        return cls(p)
-
     def abs(self, x: int) -> Fraction:
         """Exact absolute value |x|_v of an integer."""
         if x == 0:
@@ -219,14 +214,6 @@ class PlaceSpec(_PlaceSpecFields):
 
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
-
-
-def height(x: RationalProjectivePoint, m: int = 1) -> int:
-    """Multiplicative height for the m-th multiple of the hyperplane class:
-    (max |coordinate|)^m on the primitive representative."""
-    if m < 1:
-        raise BadArgs(f"height exponent must be positive, got {m}")
-    return max(abs(c) for c in x.coords) ** m
 
 
 def distance(
@@ -301,10 +288,15 @@ def make_sample(
     place: PlaceSpec,
     m: int = 1,
 ) -> ApproxSample:
+    """The sample of a point approximating the target at the place, with
+    the height (max |coordinate|)^m of the m-th multiple of the hyperplane
+    class on the primitive representative."""
     dist = distance(point, target, place)
     if dist == 0:
         raise BadArgs("sample point coincides with the target")
-    h = height(point, m)
+    if m < 1:
+        raise BadArgs(f"height exponent must be positive, got {m}")
+    h = max(map(abs, point.coords)) ** m
     num, den = dist.as_integer_ratio()
     return ApproxSample(point.coords, h, num, den, _ratio(h, num, den))
 
@@ -332,10 +324,10 @@ class ApproxLine(Sequence):
 
     ``line[k]`` and slices build ``ApproxSample``s when read, with the
     point from the target and the gcd, the height's m-th power and the
-    ratio; a slice is a list.  The estimators read the columns.  The order
-    of ``_height_order`` is computed once, and so are the logarithms of the
-    heights and distances over the last tail read, which the estimate and
-    every trend of that tail share.
+    ratio; a slice is a list.  The estimators read the columns from
+    position ``tail_start`` of the order of ``_height_order`` on.  The
+    logarithms of the heights and distances there are computed once, when
+    first read, and the estimate and every trend share them.
 
     The constructor is internal and checks nothing: ``best_sequence_on_line``
     is the only builder, and its columns hold what the estimators rely on.
@@ -344,12 +336,13 @@ class ApproxLine(Sequence):
     larger distance first at equal height.
     """
 
-    __slots__ = ("target", "place", "m", "heights", "nums", "dens", "_j", "_gcds", "_order", "_tail")
+    __slots__ = ("target", "place", "m", "tail_start", "heights", "nums", "dens", "_j", "_gcds", "_order",
+                 "_tail")
 
-    def __init__(self, target: RationalProjectivePoint, place: PlaceSpec, j: int, m: int, gcds: list[int],
-                 heights: list[int], nums: list[int], dens: list[int]):
-        self.target, self.place, self._j, self.m, self._gcds = target, place, j, m, gcds
-        self.heights, self.nums, self.dens = heights, nums, dens
+    def __init__(self, target: RationalProjectivePoint, place: PlaceSpec, j: int, m: int, tail_start: int,
+                 gcds: list[int], heights: list[int], nums: list[int], dens: list[int]):
+        self.target, self.place, self._j, self.m, self.tail_start = target, place, j, m, tail_start
+        self._gcds, self.heights, self.nums, self.dens = gcds, heights, nums, dens
         self._order = self._tail = None
 
     def __len__(self) -> int:
@@ -381,19 +374,19 @@ class ApproxLine(Sequence):
             self._order = _height_order(self.heights)
         return self._order
 
-    def tail_logs(self, start: int) -> tuple[list[float], list[float]]:
+    def tail_logs(self) -> tuple[list[float], list[float]]:
         """log(height) and log(dist) = log(num) - log(den) of the samples
-        from position ``start`` of the order on; the m-th powers are taken
-        only here."""
-        if self._tail is None or self._tail[0] != start:
-            tail = self.order[start:]
+        from position ``tail_start`` of the order on; the m-th powers are
+        taken only here."""
+        if self._tail is None:
+            tail = self.order[self.tail_start:]
             heights = _take(self.heights, tail)
             if self.m != 1:
                 heights = map(pow, heights, repeat(self.m))
             log_h = list(map(math.log, heights))
             nums, dens = map(math.log, _take(self.nums, tail)), map(math.log, _take(self.dens, tail))
-            self._tail = (start, log_h, list(map(operator.sub, nums, dens)))
-        return self._tail[1:]
+            self._tail = (log_h, list(map(operator.sub, nums, dens)))
+        return self._tail
 
 
 #: The most points a line may have.  Its integers stay small at inf, but
@@ -417,11 +410,30 @@ def _digits_over(base: int, exponent: int = 1) -> bool:
     return base**exponent >= 10**limit
 
 
+def _tail_start(count: int, tail_fraction: float) -> int:
+    """Position, in a line's order, of the first sample of its tail, which
+    holds the last ``tail_fraction`` of the ``count`` samples and must hold
+    at least 2.  Fewer than 10 samples raise TooFewPoints, and any other
+    refusal BadArgs."""
+    if count < 10:
+        raise TooFewPoints(f"need at least 10 samples, got {count}")
+    if not 0 < tail_fraction <= 1:
+        raise BadArgs(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    start = math.floor(count * (1 - tail_fraction))
+    if count - start < 2:
+        raise BadArgs(
+            f"tail_fraction {tail_fraction} leaves {count - start} of "
+            f"{count} samples in the tail, need at least 2"
+        )
+    return start
+
+
 def best_sequence_on_line(
     target: RationalProjectivePoint,
     place: PlaceSpec,
     count: int,
     m: int = 1,
+    tail_fraction: float = 0.5,
 ) -> ApproxLine:
     """Deterministic approximating sequence on a line through the target P.
 
@@ -437,11 +449,13 @@ def best_sequence_on_line(
     since p does not divide g_i, P being primitive.  The columns are built
     in line order by maps over whole columns, with no tuple per sample.
 
-    Before any column, it refuses (BadArgs) a count above MAX_COUNT and a
-    line whose integers may have more digits than ``str`` prints: P_j >= 0,
-    so none exceeds the last representative's largest entry to the m-th
-    power, or its distance denominator before the gcd cancels (that entry
-    times max |P| at inf, p^(count + v) at p).
+    The estimators read the last ``tail_fraction`` of the line (see
+    ``_tail_start``).  Before any column, it refuses (BadArgs) a count
+    above MAX_COUNT, a line whose integers may have more digits than
+    ``str`` prints, and then a tail of fewer than 2 samples.  P_j >= 0, so
+    no integer of the line exceeds the last representative's largest entry
+    to the m-th power, or its distance denominator before the gcd cancels
+    (that entry times max |P| at inf, p^(count + v) at p).
 
     The points are pairwise distinct, so the line needs no repeated-point
     check: P and e_j are independent, so a multiple of i*P + e_j equal to
@@ -484,9 +498,10 @@ def best_sequence_on_line(
     if too_long:
         raise BadArgs(f"the integers of a line of {count} points at {place} with m = {m} may exceed "
                       f"{sys.get_int_max_str_digits()} digits, the most str() prints; lower the count or m")
+    start = _tail_start(count, tail_fraction)
     columns = (_inf_columns(coords, count, firsts, size, lead, max(map(abs, others))) if p is None
                else _prime_columns(coords[j], p, count, common, top, v))
-    return ApproxLine(target, place, j, m, *columns)
+    return ApproxLine(target, place, j, m, start, *columns)
 
 
 def _inf_columns(coords, count: int, firsts: list[int], size: int, lead: int, cross: int) -> tuple[list[int], ...]:
@@ -527,32 +542,18 @@ class AlphaEstimate(NamedTuple):
     estimate: float
     tail_min: float
     tail_max: float
-    sample_count: int
     tail_count: int
 
 
-def _tail_start(line: ApproxLine, tail_fraction: float) -> int:
-    """Position, in the line's order, of the first sample of the tail, which
-    holds the last ``tail_fraction`` of the samples and must hold at least
-    2.  Anything but an ``ApproxLine`` raises BadArgs, and a line of fewer
-    than 10 samples TooFewPoints."""
+def _tail_logs(line: ApproxLine) -> tuple[list[float], list[float]]:
+    """The line's ``tail_logs``; anything but an ``ApproxLine`` raises
+    BadArgs."""
     if not isinstance(line, ApproxLine):
         raise BadArgs(f"the estimators take an ApproxLine, got {type(line).__name__}")
-    count = len(line)
-    if count < 10:
-        raise TooFewPoints(f"need at least 10 samples, got {count}")
-    if not 0 < tail_fraction <= 1:
-        raise BadArgs(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    start = math.floor(count * (1 - tail_fraction))
-    if count - start < 2:
-        raise BadArgs(
-            f"tail_fraction {tail_fraction} leaves {count - start} of "
-            f"{count} samples in the tail, need at least 2"
-        )
-    return start
+    return line.tail_logs()
 
 
-def alpha_estimate(line: ApproxLine, tail_fraction: float = 0.5) -> AlphaEstimate:
+def alpha_estimate(line: ApproxLine) -> AlphaEstimate:
     """Median of the height/distance log-ratio over the tail of a line, in
     the line's order: by height, and at equal height by descending distance.
 
@@ -570,19 +571,12 @@ def alpha_estimate(line: ApproxLine, tail_fraction: float = 0.5) -> AlphaEstimat
     NaN, and a tail holds at least 2 samples.  Columns that no line holds
     can lack one, and raise NotConverging.
     """
-    start = _tail_start(line, tail_fraction)
-    tail = sorted(filter(math.isfinite, map(_log_ratio, *line.tail_logs(start))))
+    tail = sorted(filter(math.isfinite, map(_log_ratio, *_tail_logs(line))))
     if not tail:
         raise NotConverging("no finite ratios in the tail")
     mid = len(tail) // 2
     median = tail[mid] if len(tail) % 2 else (tail[mid - 1] + tail[mid]) / 2
-    return AlphaEstimate(
-        estimate=median,
-        tail_min=tail[0],
-        tail_max=tail[-1],
-        sample_count=len(line),
-        tail_count=len(tail),
-    )
+    return AlphaEstimate(estimate=median, tail_min=tail[0], tail_max=tail[-1], tail_count=len(tail))
 
 
 #: A trend slope within this distance of 0 reads as indeterminate.
@@ -597,7 +591,7 @@ class Trend(NamedTuple):
     verdict: str  # "bounded", "unbounded", or "indeterminate"
 
 
-def boundedness_trend(line: ApproxLine, gamma: float, tail_fraction: float = 0.5) -> Trend:
+def boundedness_trend(line: ApproxLine, gamma: float) -> Trend:
     """Least-squares slope of log(dist^gamma * H) against log H over the tail.
 
     A slope below -TREND_THRESHOLD means the product tends to zero (gamma
@@ -606,8 +600,7 @@ def boundedness_trend(line: ApproxLine, gamma: float, tail_fraction: float = 0.5
     monotone in gamma.  It reads the line in the order of ``alpha_estimate``,
     so both read the same tail and share its logarithms.
     """
-    start = _tail_start(line, tail_fraction)
-    xs, log_dist = line.tail_logs(start)
+    xs, log_dist = _tail_logs(line)
     ys = list(map(operator.add, xs, map(operator.mul, repeat(gamma), log_dist)))
     n = len(xs)
     mean_x = sum(xs) / n

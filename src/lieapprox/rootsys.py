@@ -53,8 +53,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import BadArgs, BadIndex, InvalidRank, NonDominant, NotARoot
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
 _LOWEST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 

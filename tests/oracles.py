@@ -140,7 +140,7 @@ class EstimatorError(Exception):
 
 
 def alpha_estimate(samples, tail_fraction: float = 0.5) -> tuple:
-    """(estimate, tail_min, tail_max, sample_count, tail_count): the median
+    """(estimate, tail_min, tail_max, tail_count): the median
     of the finite ratios over the last ``tail_fraction`` of the samples
     ordered by height, then by descending distance."""
     if len(samples) < 10:
@@ -161,7 +161,7 @@ def alpha_estimate(samples, tail_fraction: float = 0.5) -> tuple:
         raise EstimatorError("NotConverging", "no finite ratios in the tail")
     mid = len(tail) // 2
     median = tail[mid] if len(tail) % 2 else (tail[mid - 1] + tail[mid]) / 2
-    return (median, tail[0], tail[-1], len(ordered), len(tail))
+    return (median, tail[0], tail[-1], len(tail))
 
 
 def row_audit(printed, computed) -> tuple:

@@ -207,7 +207,7 @@ def test_criterion_08_structural_identities():
 @criterion(9, "lab estimates hit 1 and 2 within 5 percent and the dichotomy holds")
 def test_criterion_09_diophantine_lab():
     target = RationalProjectivePoint((1, 0))
-    place = PlaceSpec.archimedean()
+    place = PlaceSpec(None)
     seq1 = best_sequence_on_line(target, place, 1000, m=1)
     est1 = alpha_estimate(seq1).estimate
     assert 0.95 <= est1 <= 1.05

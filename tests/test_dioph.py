@@ -4,6 +4,7 @@ import re
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import partial
 
 import oracles
 import pytest
@@ -22,12 +23,12 @@ from lieapprox.dioph import (
     _height_order,
     _is_prime,
     _ratio,
+    _tail_start,
     _valuation,
     alpha_estimate,
     best_sequence_on_line,
     boundedness_trend,
     distance,
-    height,
     make_sample,
 )
 from lieapprox.errors import (
@@ -37,7 +38,7 @@ from lieapprox.errors import (
     TooFewPoints,
 )
 
-INF = PlaceSpec.archimedean()
+INF = PlaceSpec(None)
 P10 = Point((1, 0))
 
 
@@ -77,10 +78,10 @@ def test_parse_accepts_either_separator():
 
 
 def test_place_validation():
-    assert PlaceSpec.at(2).prime == 2
-    assert PlaceSpec.archimedean().prime is None
+    assert PlaceSpec(2).prime == 2
+    assert PlaceSpec(None).prime is None
     with pytest.raises(BadArgs):
-        PlaceSpec.at(6)
+        PlaceSpec(6)
 
 
 def _trial_division_is_prime(n):
@@ -107,12 +108,12 @@ def test_places_at_or_above_the_prime_bound_are_refused():
     # the bound itself is the least strong pseudoprime to the first 13 prime bases
     for p in (PRIME_BOUND, 2**89 - 1):
         with pytest.raises(BadArgs, match="too large"):
-            PlaceSpec.at(p)
-    assert PlaceSpec.at(2**61 - 1).prime == 2**61 - 1
+            PlaceSpec(p)
+    assert PlaceSpec(2**61 - 1).prime == 2**61 - 1
 
 
 def test_padic_absolute_value():
-    p3 = PlaceSpec.at(3)
+    p3 = PlaceSpec(3)
     assert p3.abs(9) == Fraction(1, 9)
     assert p3.abs(10) == 1
     assert p3.abs(-27) == Fraction(1, 27)
@@ -130,18 +131,18 @@ def test_padic_absolute_value_is_the_largest_dividing_power(p, exponent, unit):
     v = _valuation(x, p)
     assert v >= exponent
     assert x % p**v == 0 and x % p ** (v + 1) != 0
-    assert PlaceSpec.at(p).abs(x) == Fraction(1, p**v)
+    assert PlaceSpec(p).abs(x) == Fraction(1, p**v)
 
 
 # -- heights and distances -------------------------------------------------------
 
 
 def test_height_examples():
-    assert height(P10) == 1
-    assert height(Point((2, 4))) == 2  # normalization forces the primitive rep
-    assert height(Point((7, 5)), m=2) == 49
+    assert make_sample(P10, Point((0, 1)), INF).height == 1
+    assert make_sample(Point((2, 4)), P10, INF).height == 2  # normalization forces the primitive rep
+    assert make_sample(Point((7, 5)), P10, INF, m=2).height == 49
     with pytest.raises(BadArgs):
-        height(P10, m=0)
+        make_sample(Point((0, 1)), P10, INF, m=0)
 
 
 def test_distance_examples():
@@ -153,7 +154,7 @@ def test_distance_examples():
 
 def test_distance_symmetric_and_bounded():
     pts = [P10, Point((0, 1)), Point((3, 2)), Point((-5, 8)), Point((1, 1)), Point((1, -1))]
-    for place in (INF, PlaceSpec.at(2), PlaceSpec.at(5)):
+    for place in (INF, PlaceSpec(2), PlaceSpec(5)):
         bound = 2 if place.prime is None else 1
         for a in pts:
             for b in pts:
@@ -167,7 +168,7 @@ def test_distance_symmetric_and_bounded():
 
 def test_distance_padic():
     # cross term 1, both points primitive, so the 2-adic distance is |8|_2 = 1/8
-    assert distance(Point((1, 8)), Point((1, 0)), PlaceSpec.at(2)) == Fraction(1, 8)
+    assert distance(Point((1, 8)), Point((1, 0)), PlaceSpec(2)) == Fraction(1, 8)
 
 
 def _distance_by_abs(x, y, place):
@@ -244,7 +245,7 @@ def test_best_sequence_on_line_refuses_a_nonpositive_exponent():
         with pytest.raises(BadArgs, match="height exponent must be positive"):
             best_sequence_on_line(P10, INF, 20, m=m)
         with pytest.raises(BadArgs, match="height exponent must be positive"):
-            best_sequence_on_line(Point((1, 2, 3)), PlaceSpec.at(3), 20, m=m)
+            best_sequence_on_line(Point((1, 2, 3)), PlaceSpec(3), 20, m=m)
 
 
 def _line_representatives(target, place, count, first=1):
@@ -261,15 +262,15 @@ def _line_representatives(target, place, count, first=1):
             yield tuple(c + place.prime**i * (k == j) for k, c in enumerate(coords))
 
 
-def _hand_built(heights, nums, dens, m=1):
+def _hand_built(heights, nums, dens, m=1, tail_fraction=0.5):
     """A line built by hand from its height and distance columns, on the
-    target (1 : 0) at inf, through the internal constructor.  The columns
-    keep a line's invariants, distances that fall along the line included,
-    unless a test says otherwise.  The estimators read only the columns;
-    indexing builds the points (i : 1) of the real line, whatever the
-    columns hold."""
+    target (1 : 0) at inf, through the internal constructor, with the tail
+    start of ``_tail_start``.  The columns keep a line's invariants,
+    distances that fall along the line included, unless a test says
+    otherwise.  The estimators read only the columns; indexing builds the
+    points (i : 1) of the real line, whatever the columns hold."""
     count = len(heights)
-    return ApproxLine(P10, INF, 1, m, [1] * count, heights, nums, dens)
+    return ApproxLine(P10, INF, 1, m, _tail_start(count, tail_fraction), [1] * count, heights, nums, dens)
 
 
 @st.composite
@@ -355,7 +356,8 @@ def test_no_line_raises_not_converging(target, prime, count, m):
     # a line's distances go to 0 by construction, so it is never refused:
     # its tail has finite ratios and heights that grow
     line = best_sequence_on_line(target, PlaceSpec(prime), count, m)
-    assert alpha_estimate(line).sample_count == count
+    assert len(line) == count
+    alpha_estimate(line)
     boundedness_trend(line, 1.0)
 
 
@@ -374,15 +376,15 @@ def test_a_line_is_a_read_only_sequence_of_samples():
 
 
 _ESTIMATORS = {
-    "alpha_estimate": lambda seq, tail: alpha_estimate(seq, tail_fraction=tail),
-    "boundedness_trend": lambda seq, tail: boundedness_trend(seq, 1.0, tail_fraction=tail),
+    "alpha_estimate": alpha_estimate,
+    "boundedness_trend": lambda line: boundedness_trend(line, 1.0),
 }
 
 
 def test_alpha_estimate_closed_form_line():
     seq = best_sequence_on_line(P10, INF, 1000, m=1)
     est = alpha_estimate(seq)
-    assert est.sample_count == 1000
+    assert len(seq) == 1000
     assert est.estimate == pytest.approx(1.0, abs=1e-9)
     est2 = alpha_estimate(best_sequence_on_line(P10, INF, 1000, m=2))
     assert est2.estimate == pytest.approx(2.0, abs=1e-9)
@@ -398,9 +400,9 @@ def test_alpha_estimate_plane_and_offline_targets():
 
 
 def test_alpha_estimate_padic():
-    est = alpha_estimate(best_sequence_on_line(P10, PlaceSpec.at(2), 60))
+    est = alpha_estimate(best_sequence_on_line(P10, PlaceSpec(2), 60))
     assert est.estimate == pytest.approx(1.0, abs=1e-9)
-    est3 = alpha_estimate(best_sequence_on_line(P10, PlaceSpec.at(3), 40))
+    est3 = alpha_estimate(best_sequence_on_line(P10, PlaceSpec(3), 40))
     assert est3.estimate == pytest.approx(1.0, abs=1e-9)
 
 
@@ -412,10 +414,10 @@ def test_sparser_sequence_does_not_raise_alpha():
 
 
 def test_alpha_estimate_needs_enough_points():
+    # a line of fewer than 10 samples has no tail for the estimators to read
     seq = best_sequence_on_line(P10, INF, 12)
-    for estimate in _ESTIMATORS.values():
-        with pytest.raises(TooFewPoints, match="need at least 10 samples, got 5"):
-            estimate(_hand_built(seq.heights[:5], seq.nums[:5], seq.dens[:5]), 0.5)
+    with pytest.raises(TooFewPoints, match="need at least 10 samples, got 5"):
+        _hand_built(seq.heights[:5], seq.nums[:5], seq.dens[:5])
     with pytest.raises(TooFewPoints):
         best_sequence_on_line(P10, INF, 9)
 
@@ -439,7 +441,7 @@ def test_the_estimators_take_only_a_line(name):
     line = best_sequence_on_line(Point((1, 2)), INF, 20)
     for samples, kind in ((list(line), "list"), (line[:], "list"), (tuple(line), "tuple")):
         with pytest.raises(BadArgs, match=f"^the estimators take an ApproxLine, got {kind}$"):
-            _ESTIMATORS[name](samples, 0.5)
+            _ESTIMATORS[name](samples)
 
 
 def test_a_height_below_one_is_refused_where_the_sample_is_built():
@@ -448,28 +450,27 @@ def test_a_height_below_one_is_refused_where_the_sample_is_built():
     # a line or by make_sample, whose heights are at least 1, and the trend
     # reads the least of them: the first sample on (1 : 0) at inf is
     # (1 : 1), of height 1 and distance 1
-    line = best_sequence_on_line(P10, INF, 20)
+    line = best_sequence_on_line(P10, INF, 20, tail_fraction=1.0)
     assert (line[0].height, line[0].distance) == (1, 1)
-    assert boundedness_trend(line, 2.0, tail_fraction=1.0).verdict == "bounded"
+    assert boundedness_trend(line, 2.0).verdict == "bounded"
 
 
 def test_alpha_estimate_tail_fraction_validation():
-    seq = best_sequence_on_line(P10, INF, 20)
     with pytest.raises(BadArgs):
-        alpha_estimate(seq, tail_fraction=0.0)
+        best_sequence_on_line(P10, INF, 20, tail_fraction=0.0)
     with pytest.raises(BadArgs):
-        alpha_estimate(seq, tail_fraction=0.05)  # a tail of one sample
-    assert alpha_estimate(seq, tail_fraction=0.1).tail_count == 2
+        best_sequence_on_line(P10, INF, 20, tail_fraction=0.05)  # a tail of one sample
+    assert alpha_estimate(best_sequence_on_line(P10, INF, 20, tail_fraction=0.1)).tail_count == 2
 
 
-@pytest.mark.parametrize("name", _ESTIMATORS)
 @pytest.mark.parametrize("tail", [0.0, 1.5, math.nan, 0.05], ids=["0", "1.5", "nan", "one-sample"])
-def test_tail_fraction_is_validated_by_both_estimators(name, tail):
+def test_tail_fraction_is_validated_by_the_line(tail):
     # 0 used to divide by zero in the trend, and 1.5 to fit the last half
-    seq = best_sequence_on_line(Point((1, 2)), INF, 20)
     with pytest.raises(BadArgs):
-        _ESTIMATORS[name](seq, tail)
-    _ESTIMATORS[name](seq, 0.1)  # a tail of two samples is enough
+        best_sequence_on_line(Point((1, 2)), INF, 20, tail_fraction=tail)
+    line = best_sequence_on_line(Point((1, 2)), INF, 20, tail_fraction=0.1)
+    for estimate in _ESTIMATORS.values():
+        estimate(line)  # a tail of two samples is enough
 
 
 
@@ -509,19 +510,30 @@ def test_sample_order_matches_the_height_minus_distance_key(columns):
 def _drawn_lines(draw):
     """Lines built by hand from drawn columns: heights that tie and fall,
     and distances that fall along the line from at most 2, whose ratios
-    include 0, negative ones and one inf or NaN."""
+    include 0, negative ones and one inf or NaN.  Each is the pair of its
+    samples, read at tail start 0, and a function of the tail that builds
+    it with that tail."""
     heights, distances = draw(_falling_columns(5, 40))
-    pairs = [d.as_integer_ratio() for d in distances]
-    return _hand_built(heights, [n for n, _ in pairs], [d for _, d in pairs], draw(st.integers(1, 2)))
+    nums, dens = [d.numerator for d in distances], [d.denominator for d in distances]
+    m, count = draw(st.integers(1, 2)), len(heights)
+    samples = list(ApproxLine(P10, INF, 1, m, 0, [1] * count, heights, nums, dens))
+    return samples, partial(_hand_built, heights, nums, dens, m)
+
+
+def _real(*args):
+    """The samples of ``best_sequence_on_line(*args)`` and a function of
+    the tail that builds that line with that tail."""
+    build = partial(best_sequence_on_line, *args)
+    return list(build()), build
 
 
 @st.composite
 def _real_lines(draw):
     """A line of ``best_sequence_on_line`` at inf, 2, 3, 5 or 7, on a drawn
-    target or one whose gcd jumps."""
+    target or one whose gcd jumps, as ``_real`` gives it."""
     place = PlaceSpec(draw(st.sampled_from([None, 2, 3, 5, 7])))
     target = draw(_line_target() | st.sampled_from(_GCD_JUMPS))
-    return best_sequence_on_line(target, place, draw(st.integers(10, 60)), draw(st.integers(1, 2)))
+    return _real(target, place, draw(st.integers(10, 60)), draw(st.integers(1, 2)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -529,20 +541,22 @@ def _real_lines(draw):
     _drawn_lines() | _real_lines(),
     st.sampled_from([1.0, 0.5, 0.25, 0.1]) | st.floats(0, 1, exclude_min=True),
 )
-@example(best_sequence_on_line(Point((0, 1, 4)), PlaceSpec(2), 40), 0.5)  # heights 4, 4, 8: a tie
-@example(best_sequence_on_line(Point((3, 4)), INF, 37), 0.5)  # (28 : 37) has gcd 4 and sorts into the head
-@example(best_sequence_on_line(P10, INF, 10), 1.0)  # the first ratio is NaN
+@example(_real(Point((0, 1, 4)), PlaceSpec(2), 40), 0.5)  # heights 4, 4, 8: a tie
+@example(_real(Point((3, 4)), INF, 37), 0.5)  # (28 : 37) has gcd 4 and sorts into the head
+@example(_real(P10, INF, 10), 1.0)  # the first ratio is NaN
 def test_alpha_estimate_matches_the_fraction_oracle(line, tail):
-    # the oracle reads the samples the line builds; a line is not checked
-    # for convergence (see test_no_line_raises_not_converging)
+    # the oracle reads the samples the line builds, and the line is built
+    # with the tail; a line is not checked for convergence (see
+    # test_no_line_raises_not_converging)
+    samples, build = line
     try:
-        expected = oracles.alpha_estimate(list(line), tail)
+        expected = oracles.alpha_estimate(samples, tail)
     except oracles.EstimatorError as exc:
         with pytest.raises(Exception) as raised:
-            alpha_estimate(line, tail)
+            alpha_estimate(build(tail_fraction=tail))
         assert (type(raised.value).__name__, str(raised.value)) == (exc.kind, str(exc))
         return
-    got = alpha_estimate(line, tail)
+    got = alpha_estimate(build(tail_fraction=tail))
     assert isinstance(got, AlphaEstimate)
     assert tuple(got) == expected
 
@@ -599,10 +613,10 @@ def test_a_line_with_tied_heights_builds_no_fraction(monkeypatch):
     calls = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: calls.append(args) or new(cls, *args, **kw))
-    line = best_sequence_on_line(Point((0, 1, 4)), PlaceSpec(2), 40)
+    line = best_sequence_on_line(Point((0, 1, 4)), PlaceSpec(2), 40, tail_fraction=0.975)
     assert line.heights[:3] == [4, 4, 8]
-    alpha_estimate(line, tail_fraction=0.975)
-    boundedness_trend(line, 1.0, tail_fraction=0.975)
+    alpha_estimate(line)
+    boundedness_trend(line, 1.0)
     assert calls == []
 
 
@@ -675,15 +689,19 @@ def _within_the_digit_limit(target, prime, count, m):
     st.integers(8, 60) | st.integers(4_000, 16_000) | st.integers(MAX_COUNT - 1, MAX_COUNT + 1)
     | st.integers(10**6, 10**25),
     st.integers(1, 3) | st.integers(-1, 3) | st.integers(1_000, 5_000) | st.integers(10**6, 10**30),
+    st.sampled_from([0.5, 1.0, 0.1]) | st.floats(-0.5, 1.5, allow_nan=False),
     st.sampled_from(["text", "json"]),
 )
-def test_every_refusal_comes_before_a_column(target, prime, count, m, fmt):
+def test_every_refusal_comes_before_a_column(target, prime, count, m, tail, fmt):
     # With the column builders raising, a refused line exits 2 with one
-    # error line, and an accepted one reaches a builder.
+    # error line, and an accepted one reaches a builder.  The count, m and
+    # the digit rule are decided before the tail.
     place = "inf" if prime is None else str(prime)
     argv = ["alpha", "--P", ":".join(map(str, target.coords)), "--place", place, "--count", str(count),
-            f"--m={m}", "--format", fmt]
-    refused = not (10 <= count <= MAX_COUNT and m >= 1 and _within_the_digit_limit(target, prime, count, m))
+            f"--m={m}", f"--tail={tail}", "--format", fmt]
+    line_refused = not (10 <= count <= MAX_COUNT and m >= 1 and _within_the_digit_limit(target, prime, count, m))
+    tail_refused = not 0 < tail <= 1 or count - math.floor(count * (1 - tail)) < 2
+    refused = line_refused or tail_refused
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, _default_digit_limit(), redirect_stdout(out), redirect_stderr(err):
         _forbid_columns(patch)
@@ -695,22 +713,7 @@ def test_every_refusal_comes_before_a_column(target, prime, count, m, fmt):
     if refused:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["--P", "1:2", "--count", "50", "--m", "3000000", "--format", "json"],
-     "error: the integers of a line of 50 points at inf with m = 3000000 may exceed 4300 digits, "
-     "the most str() prints; lower the count or m\n"),
-    (["--P", "1:2", "--count", "100000000000000000000"],
-     "error: a line holds at most 100000 points, got 100000000000000000000\n"),
-])
-def test_a_line_too_large_to_hold_is_refused_unbuilt(argv, message, monkeypatch, capsys):
-    # Each of these once ran until a timeout killed it: the exact m-th
-    # powers of the tail, and a line of 10^20 points.
-    _forbid_columns(monkeypatch)
-    with _default_digit_limit():
-        assert main(["alpha", *argv]) == 2
-    assert capsys.readouterr() == ("", message)
+        assert err.getvalue().startswith("error: tail_fraction ") is not line_refused
 
 
 #: Lines on both sides of the digit rule.  The larger of the last point's
@@ -741,6 +744,39 @@ def test_alpha_refuses_integers_past_the_digit_limit(argv, edge, fmt, capsys):
     if fmt == "text":
         # the last sample holds an integer of exactly 4 300 digits
         assert max(map(len, re.findall(r"\d+", out))) == 4300
+
+
+_DIGITS = "may exceed 4300 digits, the most str() prints; lower the count or m\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, message", [
+    (["--P", "1:2", "--count", "50", "--m", "3000000"],
+     f"error: the integers of a line of 50 points at inf with m = 3000000 {_DIGITS}"),
+    (["--P", "1:2", "--count", "100000000000000000000"],
+     "error: a line holds at most 100000 points, got 100000000000000000000\n"),
+    (["--P", "1:2", "--count", "100000", "--tail", "0.00001"],
+     "error: tail_fraction 1e-05 leaves 1 of 100000 samples in the tail, need at least 2\n"),
+    (["--P", "3:-2:5", "--place", "3", "--count", "1000", "--tail", "0.001"],
+     "error: tail_fraction 0.001 leaves 1 of 1000 samples in the tail, need at least 2\n"),
+    (["--P", "1:2", "--place", "7", "--count", "20", "--tail", "1.5"],
+     "error: tail_fraction must be in (0, 1], got 1.5\n"),
+    # the count, m and the digit rule come before the tail
+    (["--P", "1:2", "--count", "100001", "--tail", "0.00001"],
+     "error: a line holds at most 100000 points, got 100001\n"),
+    (["--P", "1:2", "--place", "3", "--count", "20", "--m", "0", "--tail", "0"],
+     "error: height exponent must be positive, got 0\n"),
+    (["--P", "1:2", "--count", "50", "--m", "3000000", "--tail", "0.01"],
+     f"error: the integers of a line of 50 points at inf with m = 3000000 {_DIGITS}"),
+], ids=["digits", "count", "tail", "tail-3", "tail-range", "count-first", "m-first", "digits-first"])
+def test_a_line_it_cannot_hold_or_read_is_refused_unbuilt(argv, message, fmt, monkeypatch, capsys):
+    # The first two once ran until a timeout killed them: the exact m-th
+    # powers of the tail, and a line of 10^20 points.  The third built the
+    # whole line of 100 000 points before its error.
+    _forbid_columns(monkeypatch)
+    with _default_digit_limit():
+        assert main(["alpha", *argv, "--format", fmt]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 # -- the boundedness dichotomy ------------------------------------------------------

@@ -34,7 +34,6 @@ from lieapprox import (
     Verdict,
     best_sequence_on_line,
     build_root_system,
-    height,
     make_sample,
     supported_types,
 )
@@ -108,9 +107,9 @@ SAMPLES = [
         "ApproxSample(coords=(1, -2, 3), height=3, dist_num=1, dist_den=9, ratio=0.5)",
     ),
     (
-        AlphaEstimate(1.0, 0.5, 1.5, 20, 10),
-        ("estimate", "tail_min", "tail_max", "sample_count", "tail_count"),
-        "AlphaEstimate(estimate=1.0, tail_min=0.5, tail_max=1.5, sample_count=20, tail_count=10)",
+        AlphaEstimate(1.0, 0.5, 1.5, 10),
+        ("estimate", "tail_min", "tail_max", "tail_count"),
+        "AlphaEstimate(estimate=1.0, tail_min=0.5, tail_max=1.5, tail_count=10)",
     ),
     (
         Trend(1.0, -0.25, "bounded"),
@@ -249,12 +248,13 @@ VALIDATIONS = [
      BadArgs, "sample point coincides with the target"),
     (lambda: make_sample(RationalProjectivePoint((1, 3)), RationalProjectivePoint((1, 2)), _INF, 0), BadArgs,
      "height exponent must be positive, got 0"),
-    (lambda: height(_POINT, -2), BadArgs, "height exponent must be positive, got -2"),
     (lambda: best_sequence_on_line(_POINT, _INF, 9), TooFewPoints, "need at least 10 points, got 9"),
     (lambda: best_sequence_on_line(_POINT, _INF, 100_001), BadArgs,
      "a line holds at most 100000 points, got 100001"),
     (lambda: best_sequence_on_line(_POINT, PlaceSpec(7), 10**20, 2), BadArgs,
      "a line holds at most 100000 points, got 100000000000000000000"),
+    (lambda: best_sequence_on_line(_POINT, PlaceSpec(3), 1000, tail_fraction=0.001), BadArgs,
+     "tail_fraction 0.001 leaves 1 of 1000 samples in the tail, need at least 2"),
 ]
 
 
